@@ -14,6 +14,7 @@
 module R = Ccsim_runner
 module Fl = Ccsim_fluid
 module U = Ccsim_util
+module Json = Ccsim_obs.Json
 
 let duration_s = 10.0
 let dt_s = 0.02
@@ -67,20 +68,17 @@ let run_scale ~flows ~seed =
 
 let sample_json s =
   let flow_steps = float_of_int s.flows *. float_of_int s.steps in
-  Printf.sprintf
-    "    {\n\
-    \      \"flows\": %d,\n\
-    \      \"links\": %d,\n\
-    \      \"steps\": %d,\n\
-    \      \"sim_horizon_s\": %g,\n\
-    \      \"build_wall_s\": %.3f,\n\
-    \      \"run_wall_s\": %.3f,\n\
-    \      \"flow_steps_per_wall_s\": %.3e,\n\
-    \      \"flows_per_wall_s\": %.3e\n\
-    \    }"
-    s.flows s.links s.steps duration_s s.build_wall_s s.run_wall_s
-    (flow_steps /. Float.max 1e-9 s.run_wall_s)
-    (float_of_int s.flows /. Float.max 1e-9 s.run_wall_s)
+  Json.Obj
+    [
+      ("flows", Json.Int s.flows);
+      ("links", Json.Int s.links);
+      ("steps", Json.Int s.steps);
+      ("sim_horizon_s", Json.Float duration_s);
+      ("build_wall_s", Json.Float s.build_wall_s);
+      ("run_wall_s", Json.Float s.run_wall_s);
+      ("flow_steps_per_wall_s", Json.Float (flow_steps /. Float.max 1e-9 s.run_wall_s));
+      ("flows_per_wall_s", Json.Float (float_of_int s.flows /. Float.max 1e-9 s.run_wall_s));
+    ]
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_fluid.json" in
@@ -95,16 +93,20 @@ let () =
         s)
       scales
   in
-  let body = String.concat ",\n" (List.map sample_json samples) in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"ccsim-bench-fluid/1\",\n\
-      \  \"bench\": \"fluid engine stepping (Euler, dt %g s, %g s horizon, p1-like \
-       population)\",\n\
-      \  \"date\": %S,\n\
-      \  \"scales\": [\n%s\n  ]\n}\n"
-      dt_s duration_s date body
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.Str "ccsim-bench-fluid/1");
+           ( "bench",
+             Json.Str
+               (Printf.sprintf
+                  "fluid engine stepping (Euler, dt %g s, %g s horizon, p1-like population)"
+                  dt_s duration_s) );
+           ("date", Json.Str date);
+           ("scales", Json.Arr (List.map sample_json samples));
+         ])
+    ^ "\n"
   in
   let oc = open_out_bin out in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json)

@@ -17,6 +17,8 @@ open Cmdliner
 module R = Ccsim_runner
 module E = Ccsim_core.Experiments
 module Obs = Ccsim_obs
+module Json = Ccsim_obs.Json
+module Backend = Ccsim_fluid.Backend
 module Faults = Ccsim_faults
 
 let seed_arg =
@@ -45,13 +47,13 @@ let backend_arg =
    apart (see the exit-code table in the README). *)
 let validate_backend (e : E.t) = function
   | None -> None
-  | Some b ->
-      if List.mem b e.backends then Some b
-      else begin
-        Printf.eprintf "ccsim %s: unsupported backend %S (supported: %s)\n" e.id b
-          (String.concat ", " e.backends);
-        exit 124
-      end
+  | Some name -> (
+      match Backend.of_name name with
+      | Some b when List.mem b e.backends -> Some b
+      | Some _ | None ->
+          Printf.eprintf "ccsim %s: unsupported backend %S (supported: %s)\n" e.id name
+            (String.concat ", " (List.map Backend.name e.backends));
+          exit 124)
 
 let jobs_arg =
   let doc = "Worker domains; 1 runs serially (bit-identical to the pre-runner CLI)." in
@@ -565,7 +567,7 @@ let list_cmd =
         in
         Printf.printf "%-6s %-18s %-13s %-7s %s\n" e.id
           ("[" ^ default ^ "]")
-          (String.concat "|" e.backends)
+          (String.concat "|" (List.map Backend.name e.backends))
           (if e.supports_faults then "faults" else "-")
           e.title)
       E.all
@@ -639,16 +641,16 @@ let sweep_cmd =
           let seed = int_of_string (Option.get (R.Sweep.get point "seed")) in
           let duration = Option.map float_of_string (R.Sweep.get point "duration") in
           let n = Option.map int_of_string (R.Sweep.get point "n") in
-          let backend =
+          (* Single-backend experiments ignore the backend axis; a
+             multi-backend one skips names it does not support,
+             unknown names included. *)
+          let backend, skip_unsupported =
             match R.Sweep.get point "backend" with
-            | Some b when List.length e.backends > 1 ->
-                if List.mem b e.backends then Some b else None
-            | Some _ | None -> None
-          in
-          let skip_unsupported =
-            match R.Sweep.get point "backend" with
-            | Some b -> List.length e.backends > 1 && not (List.mem b e.backends)
-            | None -> false
+            | Some name when List.length e.backends > 1 -> (
+                match Backend.of_name name with
+                | Some b when List.mem b e.backends -> (Some b, false)
+                | Some _ | None -> (None, true))
+            | Some _ | None -> (None, false)
           in
           if skip_unsupported then None
           else begin
@@ -720,7 +722,7 @@ let sweep_cmd =
 type perf_row = {
   row_name : string;
   row_exp : string;
-  row_backend : string option;
+  row_backend : Backend.t option;
   row_duration : float option;
   row_n : int option;
 }
@@ -734,9 +736,9 @@ let perf_matrix ~quick =
       row_duration = t 8.0 15.0; row_n = None };
     { row_name = "packet-sweep-slice"; row_exp = "a4"; row_backend = None;
       row_duration = t 16.0 24.0; row_n = None };
-    { row_name = "fluid-population"; row_exp = "p1"; row_backend = Some "fluid";
+    { row_name = "fluid-population"; row_exp = "p1"; row_backend = Some Backend.Fluid;
       row_duration = None; row_n = n 2000 10_000 };
-    { row_name = "hybrid-population"; row_exp = "p1"; row_backend = Some "hybrid";
+    { row_name = "hybrid-population"; row_exp = "p1"; row_backend = Some Backend.Hybrid;
       row_duration = None; row_n = n 150 300 };
   ]
 
@@ -763,30 +765,38 @@ let perf_run_row ~seed row =
   (profile, wall_s, heap_p99)
 
 let perf_row_json row (p, wall_s, heap_p99) =
-  let fnum v = Printf.sprintf "%.6f" v in
   let delivered = Obs.Profile.packets_delivered p in
   let pkts_per_wall_s =
     if wall_s > 0.0 then float_of_int delivered /. wall_s else 0.0
   in
-  Printf.sprintf
-    "    {\"name\": \"%s\", \"experiment\": \"%s\", \"backend\": \"%s\", \"duration_s\": %s, \
-     \"n\": %s, \"wall_s\": %s, \"sim_s\": %s, \"events_executed\": %d, \
-     \"events_scheduled\": %d, \"events_cancelled\": %d, \"events_per_sec\": %.0f, \
-     \"sim_speedup\": %.2f, \"pkts_enqueued\": %d, \"pkts_dequeued\": %d, \
-     \"pkts_delivered\": %d, \"pkts_dropped\": %d, \"pkts_per_wall_s\": %.0f, \
-     \"minor_words_per_event\": %.1f, \"minor_words_per_packet\": %.1f, \
-     \"heap_depth_p99\": %.1f, \"max_heap_depth\": %d}"
-    row.row_name row.row_exp
-    (match row.row_backend with Some b -> b | None -> "packet")
-    (match row.row_duration with Some d -> fnum d | None -> "null")
-    (match row.row_n with Some n -> string_of_int n | None -> "null")
-    (fnum wall_s) (fnum (Obs.Profile.sim_s p)) (Obs.Profile.events_executed p)
-    (Obs.Profile.events_scheduled p) (Obs.Profile.events_cancelled p)
-    (Obs.Profile.events_per_sec p) (Obs.Profile.sim_speedup p)
-    (Obs.Profile.packets_enqueued p) (Obs.Profile.packets_dequeued p) delivered
-    (Obs.Profile.packets_dropped p) pkts_per_wall_s
-    (Obs.Profile.minor_words_per_event p) (Obs.Profile.minor_words_per_packet p)
-    heap_p99 (Obs.Profile.max_heap_depth p)
+  let i n = Json.Int n and f v = Json.Float v in
+  let opt conv = function Some v -> conv v | None -> Json.Null in
+  Json.Obj
+    [
+      ("name", Json.Str row.row_name);
+      ("experiment", Json.Str row.row_exp);
+      ( "backend",
+        Json.Str
+          (Backend.name (Option.value row.row_backend ~default:Backend.Packet)) );
+      ("duration_s", opt f row.row_duration);
+      ("n", opt i row.row_n);
+      ("wall_s", f wall_s);
+      ("sim_s", f (Obs.Profile.sim_s p));
+      ("events_executed", i (Obs.Profile.events_executed p));
+      ("events_scheduled", i (Obs.Profile.events_scheduled p));
+      ("events_cancelled", i (Obs.Profile.events_cancelled p));
+      ("events_per_sec", f (Obs.Profile.events_per_sec p));
+      ("sim_speedup", f (Obs.Profile.sim_speedup p));
+      ("pkts_enqueued", i (Obs.Profile.packets_enqueued p));
+      ("pkts_dequeued", i (Obs.Profile.packets_dequeued p));
+      ("pkts_delivered", i delivered);
+      ("pkts_dropped", i (Obs.Profile.packets_dropped p));
+      ("pkts_per_wall_s", f pkts_per_wall_s);
+      ("minor_words_per_event", f (Obs.Profile.minor_words_per_event p));
+      ("minor_words_per_packet", f (Obs.Profile.minor_words_per_packet p));
+      ("heap_depth_p99", f heap_p99);
+      ("max_heap_depth", i (Obs.Profile.max_heap_depth p));
+    ]
 
 let perf_cmd =
   let quick_arg =
@@ -831,22 +841,25 @@ let perf_cmd =
           (row, res))
         rows
     in
-    let buf = Buffer.create 4096 in
-    Printf.bprintf buf
-      "{\n  \"schema\": \"ccsim-engine/2\",\n  \"mode\": \"%s\",\n  \"seed\": %d,\n  \
-       \"iters\": %d,\n  \
-       \"host\": {\"date\": \"%s\", \"ocaml\": \"%s\", \"word_size\": %d, \"cores\": %d},\n  \
-       \"rows\": [\n"
-      (if quick then "quick" else "full")
-      seed iters (R.Telemetry.date_utc ()) Sys.ocaml_version Sys.word_size
-      (R.Telemetry.host_cores ());
-    List.iteri
-      (fun i (row, res) ->
-        Buffer.add_string buf (perf_row_json row res);
-        Buffer.add_string buf (if i = List.length results - 1 then "\n" else ",\n"))
-      results;
-    Buffer.add_string buf "  ]\n}\n";
-    write_file out (Buffer.contents buf);
+    let report =
+      Json.Obj
+        [
+          ("schema", Json.Str "ccsim-engine/2");
+          ("mode", Json.Str (if quick then "quick" else "full"));
+          ("seed", Json.Int seed);
+          ("iters", Json.Int iters);
+          ( "host",
+            Json.Obj
+              [
+                ("date", Json.Str (R.Telemetry.date_utc ()));
+                ("ocaml", Json.Str Sys.ocaml_version);
+                ("word_size", Json.Int Sys.word_size);
+                ("cores", Json.Int (R.Telemetry.host_cores ()));
+              ] );
+          ("rows", Json.Arr (List.map (fun (row, res) -> perf_row_json row res) results));
+        ]
+    in
+    write_file out (Json.to_string report ^ "\n");
     Printf.printf "wrote %s (%s mode)\n" out (if quick then "quick" else "full");
     exit 0
   in
@@ -888,7 +901,7 @@ let analyze_cmd =
     | exception Sys_error msg ->
         Printf.eprintf "ccsim analyze: %s\n" msg;
         exit 2
-    | exception Ccsim_measure.Offline.Parse_error msg ->
+    | exception Json.Parse_error msg ->
         Printf.eprintf "ccsim analyze: %s: %s\n" file msg;
         exit 2
     | series ->
@@ -930,7 +943,7 @@ let explain_cmd =
     | exception Sys_error msg ->
         Printf.eprintf "ccsim explain: %s\n" msg;
         exit 2
-    | exception Ccsim_measure.Offline.Parse_error msg ->
+    | exception Json.Parse_error msg ->
         Printf.eprintf "ccsim explain: %s: %s\n" file msg;
         exit 2
     | series ->

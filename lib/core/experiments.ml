@@ -1,3 +1,5 @@
+module Backend = Ccsim_fluid.Backend
+
 type kind =
   | Timed of float
   | Sized of int
@@ -6,9 +8,9 @@ type t = {
   id : string;
   title : string;
   kind : kind;
-  backends : string list;
+  backends : Backend.t list;
   supports_faults : bool;
-  render : ?backend:string -> ?duration:float -> ?n:int -> seed:int -> unit -> string;
+  render : ?backend:Backend.t -> ?duration:float -> ?n:int -> seed:int -> unit -> string;
 }
 
 (* Timed experiments all run through Scenario.run, which consults the
@@ -20,7 +22,7 @@ let timed id title default render =
     id;
     title;
     kind = Timed default;
-    backends = [ "packet" ];
+    backends = [ Backend.Packet ];
     supports_faults = true;
     render = (fun ?backend:_ ?duration ?n ~seed () -> render ?duration ?n ~seed ());
   }
@@ -30,13 +32,13 @@ let sized id title default render =
     id;
     title;
     kind = Sized default;
-    backends = [ "packet" ];
+    backends = [ Backend.Packet ];
     supports_faults = false;
     render = (fun ?backend:_ ?duration ?n ~seed () -> render ?duration ?n ~seed ());
   }
 
 (* Experiments that run on more than one backend list them explicitly
-   (first = default) and receive the validated [backend] string. *)
+   (first = default) and receive the validated [backend]. *)
 let sized_multi id title default backends render =
   { id; title; kind = Sized default; backends; supports_faults = false; render }
 
@@ -81,17 +83,9 @@ let all =
     timed "c1" "Chaos: elasticity-verdict stability under canonical fault plans" 45.0
       (fun ?duration ?n:_ ~seed () -> C1_chaos.(render (run ?duration ~seed ())));
     sized_multi "p1" "Contention prevalence across a fluid/hybrid user population" 2000
-      [ "fluid"; "hybrid" ]
+      [ Backend.Fluid; Backend.Hybrid ]
       (fun ?backend ?duration:_ ?n ~seed () ->
-        let backend =
-          match backend with
-          | None -> P1_prevalence.Fluid
-          | Some s -> (
-              match P1_prevalence.backend_of_string s with
-              | Some b -> b
-              | None -> invalid_arg (Printf.sprintf "p1: unsupported backend %S" s))
-        in
-        P1_prevalence.(render (run ?n ~seed ~backend ())));
+        P1_prevalence.(render (run ?n ~seed ?backend ())));
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
@@ -108,4 +102,4 @@ let effective_params e ?backend ?duration ?n ~seed () =
      cached results from before the backend axis stay valid. *)
   match e.backends with
   | [] | [ _ ] -> base
-  | default :: _ -> base @ [ ("backend", Option.value backend ~default) ]
+  | default :: _ -> base @ [ ("backend", Backend.name (Option.value backend ~default)) ]

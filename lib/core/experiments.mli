@@ -15,16 +15,17 @@ type t = {
   id : string;  (** CLI subcommand name, e.g. ["fig1"] *)
   title : string;  (** one-line description (CLI doc string) *)
   kind : kind;
-  backends : string list;
-      (** Supported simulation backends, first = default. [["packet"]]
+  backends : Ccsim_fluid.Backend.t list;
+      (** Supported simulation backends, first = default. [[Packet]]
           for the classic DES experiments; population experiments list
-          ["fluid"]/["hybrid"]. The CLI validates [--backend] against
-          this list. *)
+          [Fluid]/[Hybrid]. The CLI validates [--backend] against this
+          list. *)
   supports_faults : bool;
       (** Whether a [--faults] plan can act on this experiment: true for
           the Scenario-backed (timed) experiments, false for the
           synthetic-population ones (fig2, a2, p1). *)
-  render : ?backend:string -> ?duration:float -> ?n:int -> seed:int -> unit -> string;
+  render :
+    ?backend:Ccsim_fluid.Backend.t -> ?duration:float -> ?n:int -> seed:int -> unit -> string;
       (** Run the experiment and render its report. [Timed] experiments
           read [duration] and ignore [n]; [Sized] ones the reverse.
           Omitted parameters fall back to the experiment's defaults.
@@ -40,7 +41,13 @@ val find : string -> t option
 (** Look up an experiment by [id]. *)
 
 val effective_params :
-  t -> ?backend:string -> ?duration:float -> ?n:int -> seed:int -> unit -> (string * string) list
+  t ->
+  ?backend:Ccsim_fluid.Backend.t ->
+  ?duration:float ->
+  ?n:int ->
+  seed:int ->
+  unit ->
+  (string * string) list
 (** Canonical [(key, value)] parameters for a run — the actually
     effective duration/size (defaults applied) plus the seed, plus the
     backend for multi-backend experiments (single-backend experiments

@@ -23,13 +23,6 @@ module Net = Ccsim_net
 module Tcp = Ccsim_tcp
 module App = Ccsim_app
 
-type backend = Fluid | Hybrid
-
-let backend_of_string = function
-  | "fluid" -> Some Fluid
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
 (* Service-plan mix: weights loosely follow access-speed distributions
    in M-Lab-style datasets — most users on mid-tier plans, a tail on
    slow DSL-like and fast FTTH-like plans. *)
@@ -66,7 +59,7 @@ type hybrid_stats = {
 }
 
 type result = {
-  backend : backend;
+  backend : Fl.Backend.t;
   n : int;
   seed : int;
   tier_rows : tier_row list;
@@ -222,13 +215,19 @@ let run_household ~seed =
     coupled_contended_s = Fl.Fluid_engine.link_contended_s engine fl;
   }
 
-let run ?(n = 2000) ?(seed = 42) ?(backend = Fluid) () =
+let run ?(n = 2000) ?(seed = 42) ?(backend = Fl.Backend.Fluid) () =
   if n < 1 then invalid_arg "P1_prevalence.run: population must be positive";
+  let household =
+    match backend with
+    | Fl.Backend.Fluid -> false
+    | Fl.Backend.Hybrid -> true
+    | Fl.Backend.Packet -> invalid_arg "P1_prevalence.run: no packet backend"
+  in
   let engine = Fl.Fluid_engine.create ~dt_s ~warmup_s ~seed () in
   let rng = U.Rng.create (seed lxor 0x9E37) in
   let users = build_population engine rng ~n in
   Fl.Fluid_engine.run engine ~until_s:duration_s;
-  let hybrid = match backend with Fluid -> None | Hybrid -> Some (run_household ~seed) in
+  let hybrid = if household then Some (run_household ~seed) else None in
   summarize backend ~n ~seed engine users hybrid
 
 let render r =
@@ -236,7 +235,7 @@ let render r =
   Report.line b
     (Printf.sprintf
        "P1: contention prevalence across %d users (%s backend, %gs horizon, seed %d)" r.n
-       (match r.backend with Fluid -> "fluid" | Hybrid -> "hybrid")
+       (Fl.Backend.name r.backend)
        duration_s r.seed);
   let table =
     U.Table.create

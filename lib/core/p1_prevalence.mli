@@ -8,10 +8,6 @@
     The hybrid backend adds one packet-level "household" (CUBIC + Reno
     bulk foreground) coupled to a fluid background aggregate. *)
 
-type backend = Fluid | Hybrid
-
-val backend_of_string : string -> backend option
-
 val contended_threshold_s : float
 (** Contended seconds past which a user counts as "in contention". *)
 
@@ -33,7 +29,7 @@ type hybrid_stats = {
 }
 
 type result = {
-  backend : backend;
+  backend : Ccsim_fluid.Backend.t;
   n : int;
   seed : int;
   tier_rows : tier_row list;
@@ -43,8 +39,9 @@ type result = {
   hybrid : hybrid_stats option;
 }
 
-val run : ?n:int -> ?seed:int -> ?backend:backend -> unit -> result
-(** [n] is the population size (default 2000). *)
+val run : ?n:int -> ?seed:int -> ?backend:Ccsim_fluid.Backend.t -> unit -> result
+(** [n] is the population size (default 2000); [backend] is [Fluid]
+    (the default) or [Hybrid]. Raises [Invalid_argument] on [Packet]. *)
 
 val render : result -> string
 val print : result -> unit

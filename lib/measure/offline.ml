@@ -1,4 +1,5 @@
 module U = Ccsim_util
+module Json = Ccsim_obs.Json
 
 (* Offline analysis over exported timeline files: parse `--series`
    NDJSON back into series and rerun the lib/measure detectors over
@@ -12,163 +13,6 @@ type series = {
   times : float array;
   values : float array;
 }
-
-(* --- a minimal JSON reader (objects, strings, numbers, the rest) ------- *)
-
-exception Parse_error of string
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Obj of (string * json) list
-  | Arr of json list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.equal (String.sub s !pos l) lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-               pos := !pos + 4;
-               (* UTF-8 encode the basic-plane code point. *)
-               if code < 0x80 then Buffer.add_char buf (Char.chr code)
-               else if code < 0x800 then begin
-                 Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          loop ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> Num v
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if (match peek () with Some '}' -> true | _ -> false) then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if (match peek () with Some ']' -> true | _ -> false) then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let json_of_string = parse_json
 
 (* --- NDJSON ingestion --------------------------------------------------- *)
 
@@ -189,32 +33,32 @@ let of_string content =
   |> List.iter (fun line ->
          incr line_no;
          if not (String.equal (String.trim line) "") then begin
+           let fail msg = raise (Json.Parse_error (Printf.sprintf "line %d: %s" !line_no msg)) in
            let fields =
-             match parse_json line with
-             | Obj fields -> fields
-             | _ -> raise (Parse_error (Printf.sprintf "line %d: not a JSON object" !line_no))
-             | exception Parse_error msg ->
-                 raise (Parse_error (Printf.sprintf "line %d: %s" !line_no msg))
+             match Json.of_string line with
+             | Json.Obj fields -> fields
+             | _ -> fail "not a JSON object"
+             | exception Json.Parse_error msg -> fail msg
            in
            let str_field k =
-             match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
+             match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
            in
            let num_field k =
-             match List.assoc_opt k fields with Some (Num v) -> Some v | _ -> None
+             match List.assoc_opt k fields with
+             | Some (Json.Float v) -> Some v
+             | Some (Json.Int i) -> Some (float_of_int i)
+             | _ -> None
            in
            match (str_field "series", num_field "t", num_field "v") with
-           | None, _, _ | _, None, _ ->
-               raise
-                 (Parse_error
-                    (Printf.sprintf "line %d: missing \"series\" or \"t\" field" !line_no))
+           | None, _, _ | _, None, _ -> fail "missing \"series\" or \"t\" field"
            | Some _, Some _, None -> ()  (* null/non-numeric value: skip the point *)
            | Some name, Some t, Some v ->
                let job = str_field "job" in
                let labels =
                  match List.assoc_opt "labels" fields with
-                 | Some (Obj pairs) ->
+                 | Some (Json.Obj pairs) ->
                      List.filter_map
-                       (fun (k, v) -> match v with Str s -> Some (k, s) | _ -> None)
+                       (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
                        pairs
                  | _ -> []
                in

@@ -16,26 +16,12 @@ type series = {
   values : float array;
 }
 
-exception Parse_error of string
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Obj of (string * json) list
-  | Arr of json list
-
-val json_of_string : string -> json
-(** Parse one complete JSON value (the reader behind {!of_string}, also
-    handy for validating whole-document exports such as Chrome traces).
-    Raises {!Parse_error}. *)
-
 val of_string : string -> series list
 (** Parse NDJSON content (one [{"series", "labels", "t", "v"}] object
     per line; blank lines ignored; points with a null ["v"] skipped).
     Series appear in first-occurrence order, points in line order.
-    Raises {!Parse_error} (with a line number) on malformed input. *)
+    Raises {!Ccsim_obs.Json.Parse_error} (with a line number) on
+    malformed input. *)
 
 val load : string -> series list
 (** {!of_string} over a file's contents. *)

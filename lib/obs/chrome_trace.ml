@@ -10,13 +10,8 @@
    stable-sorted on (ts, pid, tid) so the document is globally
    time-ordered while same-timestamp events keep their emission order. *)
 
-let ts_of seconds = seconds *. 1e6
-
-let num v =
-  if not (Float.is_finite v) then "0"
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if Float.equal (float_of_string s) v then s else Printf.sprintf "%.17g" v
+(* Microseconds, kept at nanosecond resolution. *)
+let ts_of seconds = Json.Float (Float.round (seconds *. 1e9) /. 1e3)
 
 let track_name s =
   match Timeline.labels s with
@@ -35,29 +30,30 @@ let severity_arg = function
    flight-recorder instants. *)
 let span_tid_base = 2
 
-type ev = { ev_ts : float; ev_pid : int; ev_tid : int; ev_json : string }
+type ev = { ev_ts : float; ev_pid : int; ev_tid : int; ev_json : Json.t }
 
 let to_string jobs =
-  let meta = Buffer.create 512 in
-  let meta_first = ref true in
-  let metadata fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !meta_first then meta_first := false else Buffer.add_string meta ",\n";
-        Buffer.add_string meta s)
-      fmt
+  let meta = ref [] in
+  let metadata name ~pid ~tid arg =
+    meta :=
+      Json.Obj
+        [
+          ("name", Json.Str name);
+          ("ph", Json.Str "M");
+          ("pid", Json.Int pid);
+          ("tid", Json.Int tid);
+          ("args", Json.Obj [ ("name", Json.Str arg) ]);
+        ]
+      :: !meta
   in
   let events = ref [] in
-  let event ~ts ~pid ~tid fmt =
-    Printf.ksprintf
-      (fun s -> events := { ev_ts = ts; ev_pid = pid; ev_tid = tid; ev_json = s } :: !events)
-      fmt
+  let event ~ts ~pid ~tid members =
+    events := { ev_ts = ts; ev_pid = pid; ev_tid = tid; ev_json = Json.Obj members } :: !events
   in
   List.iteri
     (fun i (job_name, timeline, recorder, span) ->
       let pid = i + 1 in
-      metadata "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}"
-        pid (Json.str job_name);
+      metadata "process_name" ~pid ~tid:0 job_name;
       (* Span of the whole job, for a visible process row. *)
       let t_min = ref infinity and t_max = ref neg_infinity in
       let see t =
@@ -83,20 +79,31 @@ let to_string jobs =
         span;
       if !t_max >= !t_min then
         event ~ts:!t_min ~pid ~tid:0
-          "{\"name\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0}"
-          (Json.str job_name) (ts_of !t_min)
-          (ts_of (!t_max -. !t_min))
-          pid;
+          [
+            ("name", Json.Str job_name);
+            ("ph", Json.Str "X");
+            ("ts", ts_of !t_min);
+            ("dur", ts_of (!t_max -. !t_min));
+            ("pid", Json.Int pid);
+            ("tid", Json.Int 0);
+          ];
       Option.iter
         (fun tl ->
           List.iter
             (fun s ->
-              let name = Json.str (track_name s) in
+              let name = Json.Str (track_name s) in
               Array.iter
                 (fun (t, v) ->
+                  (* Trace viewers reject null counters; plot them as 0. *)
+                  let v = if Float.is_finite v then v else 0.0 in
                   event ~ts:t ~pid ~tid:0
-                    "{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"args\":{\"value\":%s}}"
-                    name (ts_of t) pid (num v))
+                    [
+                      ("name", name);
+                      ("ph", Json.Str "C");
+                      ("ts", ts_of t);
+                      ("pid", Json.Int pid);
+                      ("args", Json.Obj [ ("value", Json.Float v) ]);
+                    ])
                 (Timeline.points s))
             (Timeline.all_series tl))
         timeline;
@@ -105,14 +112,18 @@ let to_string jobs =
           List.iter
             (fun (e : Recorder.event) ->
               let args =
-                (("point", e.point) :: ("severity", severity_arg e.severity) :: e.fields)
-                |> List.map (fun (k, v) -> Printf.sprintf "%s:%s" (Json.str k) (Json.str v))
-                |> String.concat ","
+                ("point", e.point) :: ("severity", severity_arg e.severity) :: e.fields
               in
               event ~ts:e.at ~pid ~tid:1
-                "{\"name\":%s,\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"s\":\"p\",\"args\":{%s}}"
-                (Json.str (e.kind ^ ":" ^ e.detail))
-                (ts_of e.at) pid args)
+                [
+                  ("name", Json.Str (e.kind ^ ":" ^ e.detail));
+                  ("ph", Json.Str "i");
+                  ("ts", ts_of e.at);
+                  ("pid", Json.Int pid);
+                  ("tid", Json.Int 1);
+                  ("s", Json.Str "p");
+                  ("args", Json.Obj (Json.string_members args));
+                ])
             (Recorder.events r))
         recorder;
       Option.iter
@@ -128,10 +139,7 @@ let to_string jobs =
                 let tid = !next_tid in
                 incr next_tid;
                 Hashtbl.add hop_tids hop tid;
-                metadata
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":%s}}"
-                  pid tid
-                  (Json.str ("hop: " ^ hop));
+                metadata "thread_name" ~pid ~tid ("hop: " ^ hop);
                 tid
           in
           List.iter
@@ -141,11 +149,24 @@ let to_string jobs =
                 match delay with
                 | Some d when d >= 0.0 ->
                     event ~ts:lo ~pid ~tid
-                      "{\"name\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"hop\":%s,\"uid\":%d,\"flow\":%d,\"seq\":%d,\"kind\":%s,\"outcome\":%s}}"
-                      (Json.str name) (ts_of lo) (ts_of d) pid tid
-                      (Json.str r.Span.hop) r.Span.uid r.Span.flow r.Span.seq
-                      (Json.str r.Span.kind)
-                      (Json.str (Span.outcome_to_string r.Span.outcome))
+                      [
+                        ("name", Json.Str name);
+                        ("ph", Json.Str "X");
+                        ("ts", ts_of lo);
+                        ("dur", ts_of d);
+                        ("pid", Json.Int pid);
+                        ("tid", Json.Int tid);
+                        ( "args",
+                          Json.Obj
+                            [
+                              ("hop", Json.Str r.Span.hop);
+                              ("uid", Json.Int r.Span.uid);
+                              ("flow", Json.Int r.Span.flow);
+                              ("seq", Json.Int r.Span.seq);
+                              ("kind", Json.Str r.Span.kind);
+                              ("outcome", Json.Str (Span.outcome_to_string r.Span.outcome));
+                            ] );
+                      ]
                 | Some _ | None -> ()
               in
               phase "queue" r.Span.t_enq (Span.queue_delay r);
@@ -164,13 +185,6 @@ let to_string jobs =
           if c <> 0 then c else compare a.ev_tid b.ev_tid)
       (List.rev !events)
   in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "[\n";
-  Buffer.add_buffer buf meta;
-  List.iter
-    (fun e ->
-      if Buffer.length buf > 2 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf e.ev_json)
-    sorted;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  (* One event per line, so the document diffs and greps line by line. *)
+  let lines = List.rev_append !meta (List.map (fun e -> e.ev_json) sorted) in
+  "[\n" ^ String.concat ",\n" (List.map Json.to_line lines) ^ "\n]\n"

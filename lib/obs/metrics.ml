@@ -150,46 +150,40 @@ let find_histogram t ?(labels = []) name =
   | Some (Histogram h) -> Some h
   | Some _ | None -> None
 
-let float_lit v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.9g" v
-
 let line_to buf ?(extra = []) key instr =
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Json.str k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Json.str v);
-      Buffer.add_char buf ',')
-    extra;
   let kind =
     match instr with Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
   in
-  Printf.bprintf buf "\"type\":%s,\"name\":%s,\"labels\":%s" (Json.str kind) (Json.str key.name)
-    (Json.obj_of_strings key.labels);
-  (match instr with
-  | Counter c -> Printf.bprintf buf ",\"value\":%d" c.count
-  | Gauge g -> Printf.bprintf buf ",\"value\":%s" (float_lit g.value)
-  | Histogram h ->
-      Printf.bprintf buf ",\"count\":%d,\"sum\":%s,\"zero\":%d" h.observations
-        (float_lit h.sum) h.zero;
-      Printf.bprintf buf ",\"p50\":%s,\"p95\":%s,\"p99\":%s"
-        (float_lit (quantile h 0.50))
-        (float_lit (quantile h 0.95))
-        (float_lit (quantile h 0.99));
-      Buffer.add_string buf ",\"buckets\":[";
-      let first = ref true in
-      Array.iteri
-        (fun i n ->
-          if n > 0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            Printf.bprintf buf "{\"le\":%.9g,\"count\":%d}" (bucket_upper_bound i) n
-          end)
-        h.buckets;
-      Buffer.add_char buf ']');
-  Buffer.add_string buf "}\n"
+  let values =
+    match instr with
+    | Counter c -> [ ("value", Json.Int c.count) ]
+    | Gauge g -> [ ("value", Json.Float g.value) ]
+    | Histogram h ->
+        let bucket i n =
+          if n > 0 then
+            Some (Json.Obj [ ("le", Json.Float (bucket_upper_bound i)); ("count", Json.Int n) ])
+          else None
+        in
+        let buckets = List.filter_map Fun.id (List.mapi bucket (Array.to_list h.buckets)) in
+        [
+          ("count", Json.Int h.observations);
+          ("sum", Json.Float h.sum);
+          ("zero", Json.Int h.zero);
+          ("p50", Json.Float (quantile h 0.50));
+          ("p95", Json.Float (quantile h 0.95));
+          ("p99", Json.Float (quantile h 0.99));
+          ("buckets", Json.Arr buckets);
+        ]
+  in
+  Json.add_line buf
+    (Json.Obj
+       (Json.string_members extra
+       @ [
+           ("type", Json.Str kind);
+           ("name", Json.Str key.name);
+           ("labels", Json.Obj (Json.string_members key.labels));
+         ]
+       @ values))
 
 let to_ndjson ?extra t =
   let buf = Buffer.create 1024 in

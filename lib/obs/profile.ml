@@ -242,30 +242,48 @@ let component_stats t =
     rows
 
 let to_json t =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\"events_executed\": %d, \"events_scheduled\": %d, \"events_cancelled\": %d, \
-     \"busy_s\": %.6f, \"events_per_sec\": %.1f, \"sim_s\": %.6f, \"sim_speedup\": %.1f, \
-     \"max_heap_depth\": %d, \"pkts_enqueued\": %d, \"pkts_dequeued\": %d, \
-     \"pkts_delivered\": %d, \"pkts_dropped\": %d, \"pkts_per_sec\": %.1f, \
-     \"gc\": {\"samples\": %d, \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-     \"major_words\": %.0f, \"compactions\": %d, \"minor_words_per_event\": %.2f, \
-     \"minor_words_per_packet\": %.2f}, \"components\": ["
-    t.events_executed t.events_scheduled t.events_cancelled t.busy_s (events_per_sec t)
-    t.sim_s (sim_speedup t) t.max_heap_depth t.pkts_enqueued t.pkts_dequeued
-    t.pkts_delivered t.pkts_dropped (packets_per_sec t) t.gc_samples t.gc_minor_words
-    t.gc_promoted_words t.gc_major_words t.gc_compactions (minor_words_per_event t)
-    (minor_words_per_packet t);
-  List.iteri
-    (fun i (name, (c : comp)) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf
-        "{\"component\": %s, \"events\": %d, \"seconds\": %.6f, \"scheduled\": %d, \
-         \"cancelled\": %d, \"minor_words\": %.0f}"
-        (Json.str name) c.events c.seconds c.scheduled c.cancelled c.minor_words)
-    (component_stats t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let i n = Json.Int n and f v = Json.Float v in
+  Json.Obj
+    [
+      ("events_executed", i t.events_executed);
+      ("events_scheduled", i t.events_scheduled);
+      ("events_cancelled", i t.events_cancelled);
+      ("busy_s", f t.busy_s);
+      ("events_per_sec", f (events_per_sec t));
+      ("sim_s", f t.sim_s);
+      ("sim_speedup", f (sim_speedup t));
+      ("max_heap_depth", i t.max_heap_depth);
+      ("pkts_enqueued", i t.pkts_enqueued);
+      ("pkts_dequeued", i t.pkts_dequeued);
+      ("pkts_delivered", i t.pkts_delivered);
+      ("pkts_dropped", i t.pkts_dropped);
+      ("pkts_per_sec", f (packets_per_sec t));
+      ( "gc",
+        Json.Obj
+          [
+            ("samples", i t.gc_samples);
+            ("minor_words", f t.gc_minor_words);
+            ("promoted_words", f t.gc_promoted_words);
+            ("major_words", f t.gc_major_words);
+            ("compactions", i t.gc_compactions);
+            ("minor_words_per_event", f (minor_words_per_event t));
+            ("minor_words_per_packet", f (minor_words_per_packet t));
+          ] );
+      ( "components",
+        Json.Arr
+          (List.map
+             (fun (name, (c : comp)) ->
+               Json.Obj
+                 [
+                   ("component", Json.Str name);
+                   ("events", i c.events);
+                   ("seconds", f c.seconds);
+                   ("scheduled", i c.scheduled);
+                   ("cancelled", i c.cancelled);
+                   ("minor_words", f c.minor_words);
+                 ])
+             (component_stats t)) );
+    ]
 
 let summary t =
   let top =

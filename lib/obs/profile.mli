@@ -138,9 +138,9 @@ val component_stats : t -> (string * comp) list
     sampled attribution (see {!record}); the rows' sum can undercount
     the profile totals by up to one sampling window. *)
 
-val to_json : t -> string
-(** A JSON object (no trailing newline) — embedded per job in
-    {!Ccsim_runner.Telemetry} reports. Field order is pinned by a
+val to_json : t -> Json.t
+(** A JSON object, embedded per job in {!Ccsim_runner.Telemetry}
+    reports. Field order is pinned by a
     golden test; exporters downstream of BENCH_engine.json rely on it. *)
 
 val summary : t -> string

@@ -1,3 +1,5 @@
+module Csv = Ccsim_util.Csv
+
 type severity = Debug | Info | Warn | Error
 
 let severity_to_string = function
@@ -45,43 +47,39 @@ let filter t ~f = List.filter f (events t)
 let by_kind t kind = filter t ~f:(fun e -> String.equal e.kind kind)
 
 let event_to_ndjson buf ?(extra = []) e =
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Json.str k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Json.str v);
-      Buffer.add_char buf ',')
-    extra;
-  Printf.bprintf buf "\"at\":%.9f,\"severity\":%s,\"class\":%s,\"point\":%s,\"detail\":%s" e.at
-    (Json.str (severity_to_string e.severity))
-    (Json.str e.kind) (Json.str e.point) (Json.str e.detail);
-  if (match e.fields with [] -> false | _ :: _ -> true) then
-    Printf.bprintf buf ",\"fields\":%s" (Json.obj_of_strings e.fields);
-  Buffer.add_string buf "}\n"
+  let fields =
+    match e.fields with [] -> [] | fs -> [ ("fields", Json.Obj (Json.string_members fs)) ]
+  in
+  Json.add_line buf
+    (Json.Obj
+       (Json.string_members extra
+       @ [
+           ("at", Json.Float e.at);
+           ("severity", Json.Str (severity_to_string e.severity));
+           ("class", Json.Str e.kind);
+           ("point", Json.Str e.point);
+           ("detail", Json.Str e.detail);
+         ]
+       @ fields))
 
 let to_ndjson ?extra t =
   let buf = Buffer.create 4096 in
   Queue.iter (fun e -> event_to_ndjson buf ?extra e) t.buffer;
   Buffer.contents buf
 
-let csv_cell s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let csv_header ?(extra = []) () =
-  String.concat "," (List.map fst extra @ [ "at"; "severity"; "class"; "point"; "detail"; "fields" ])
-  ^ "\n"
-
 let to_csv ?(header = true) ?(extra = []) t =
   let buf = Buffer.create 4096 in
-  if header then Buffer.add_string buf (csv_header ~extra ());
+  let row cells =
+    Buffer.add_string buf (Csv.row_to_string cells);
+    Buffer.add_char buf '\n'
+  in
+  if header then
+    row (List.map fst extra @ [ "at"; "severity"; "class"; "point"; "detail"; "fields" ]);
   Queue.iter
     (fun e ->
       let fields = String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) e.fields) in
-      let cells =
-        List.map snd extra
+      row
+        (List.map snd extra
         @ [
             Printf.sprintf "%.9f" e.at;
             severity_to_string e.severity;
@@ -89,9 +87,6 @@ let to_csv ?(header = true) ?(extra = []) t =
             e.point;
             e.detail;
             fields;
-          ]
-      in
-      Buffer.add_string buf (String.concat "," (List.map csv_cell cells));
-      Buffer.add_char buf '\n')
+          ]))
     t.buffer;
   Buffer.contents buf

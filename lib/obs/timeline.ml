@@ -1,3 +1,5 @@
+module Csv = Ccsim_util.Csv
+
 type labels = (string * string) list
 
 (* A series stores (time, value) pairs in a pair of parallel arrays.
@@ -123,29 +125,19 @@ let points s = Array.init s.len (fun i -> (s.times.(i), s.values.(i)))
 let all_series t = List.rev t.order
 let ordering_violation t = !(t.violation)
 
-(* Floats are printed with the shortest of %.12g/%.17g that parses back
-   to the same bits, so offline analysis over an exported series sees
-   exactly the values the simulation produced. *)
-let float_rt v =
-  if not (Float.is_finite v) then "null"
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if Float.equal (float_of_string s) v then s else Printf.sprintf "%.17g" v
-
+(* Floats use the JSON printer's round-trip spelling, so offline
+   analysis over an exported series sees exactly the values the
+   simulation produced. *)
 let line_to buf ?(extra = []) s i =
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Json.str k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Json.str v);
-      Buffer.add_char buf ',')
-    extra;
-  Printf.bprintf buf "\"series\":%s,\"labels\":%s,\"t\":%s,\"v\":%s" (Json.str s.s_name)
-    (Json.obj_of_strings s.s_labels)
-    (float_rt s.times.(i))
-    (float_rt s.values.(i));
-  Buffer.add_string buf "}\n"
+  Json.add_line buf
+    (Json.Obj
+       (Json.string_members extra
+       @ [
+           ("series", Json.Str s.s_name);
+           ("labels", Json.Obj (Json.string_members s.s_labels));
+           ("t", Json.Float s.times.(i));
+           ("v", Json.Float s.values.(i));
+         ]))
 
 let to_ndjson ?extra t =
   let buf = Buffer.create 4096 in
@@ -157,27 +149,22 @@ let to_ndjson ?extra t =
     (all_series t);
   Buffer.contents buf
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let to_csv ?(header = true) ?(extra = []) t =
   let buf = Buffer.create 4096 in
-  if header then begin
-    List.iter (fun (k, _) -> Printf.bprintf buf "%s," (csv_escape k)) extra;
-    Buffer.add_string buf "series,labels,t,v\n"
-  end;
+  let row cells =
+    Buffer.add_string buf (Csv.row_to_string cells);
+    Buffer.add_char buf '\n'
+  in
+  if header then row (List.map fst extra @ [ "series"; "labels"; "t"; "v" ]);
   List.iter
     (fun s ->
       let label_cell =
         String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) s.s_labels)
       in
       for i = 0 to s.len - 1 do
-        List.iter (fun (_, v) -> Printf.bprintf buf "%s," (csv_escape v)) extra;
-        Printf.bprintf buf "%s,%s,%s,%s\n" (csv_escape s.s_name) (csv_escape label_cell)
-          (float_rt s.times.(i))
-          (float_rt s.values.(i))
+        row
+          (List.map snd extra
+          @ [ s.s_name; label_cell; Json.shortest s.times.(i); Json.shortest s.values.(i) ])
       done)
     (all_series t);
   Buffer.contents buf

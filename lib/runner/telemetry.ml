@@ -1,4 +1,5 @@
 module Table = Ccsim_util.Table
+module Json = Ccsim_obs.Json
 
 type t = {
   pool_jobs : int;
@@ -82,46 +83,40 @@ let summary t =
     (Array.length t.results) t.pool_jobs oversub t.total_wall_s busy (cache_hits t)
     (failures t) (degraded t) (Table.render table)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(profiles = []) t =
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"schema\": \"ccsim-runner/1\",\n  \"pool_jobs\": %d,\n  \"host_cores\": %d,\n  \"oversubscribed\": %b,\n  \"total_wall_s\": %.6f,\n  \"cache_hits\": %d,\n  \"failures\": %d,\n  \"degraded\": %d,\n  \"jobs\": [\n"
-    t.pool_jobs (host_cores ()) (oversubscribed t) t.total_wall_s (cache_hits t)
-    (failures t) (degraded t);
-  Array.iteri
-    (fun i (r : Job.result) ->
-      let profile_field =
-        match List.assoc_opt r.name profiles with
-        | Some json -> Printf.sprintf ", \"profile\": %s" json
-        | None -> ""
-      in
-      Printf.bprintf buf
-        "    {\"name\": \"%s\", \"digest\": \"%s\", \"ok\": %b, \"cache_hit\": %b, \"attempts\": %d, \"queue_wait_s\": %.6f, \"wall_s\": %.6f, \"timed_out\": %b, \"degraded\": %b, \"error\": %s%s}%s\n"
-        (json_escape r.name) (json_escape r.digest) r.ok r.cache_hit r.attempts
-        r.queue_wait_s r.wall_s r.timed_out r.degraded
-        (match r.error with
-        | None -> "null"
-        | Some e -> Printf.sprintf "\"%s\"" (json_escape e))
-        profile_field
-        (if i = Array.length t.results - 1 then "" else ","))
-    t.results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let job (r : Job.result) =
+    Json.Obj
+      ([
+         ("name", Json.Str r.name);
+         ("digest", Json.Str r.digest);
+         ("ok", Json.Bool r.ok);
+         ("cache_hit", Json.Bool r.cache_hit);
+         ("attempts", Json.Int r.attempts);
+         ("queue_wait_s", Json.Float r.queue_wait_s);
+         ("wall_s", Json.Float r.wall_s);
+         ("timed_out", Json.Bool r.timed_out);
+         ("degraded", Json.Bool r.degraded);
+         ("error", match r.error with None -> Json.Null | Some e -> Json.Str e);
+       ]
+      @
+      match List.assoc_opt r.name profiles with
+      | Some profile -> [ ("profile", profile) ]
+      | None -> [])
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "ccsim-runner/1");
+         ("pool_jobs", Json.Int t.pool_jobs);
+         ("host_cores", Json.Int (host_cores ()));
+         ("oversubscribed", Json.Bool (oversubscribed t));
+         ("total_wall_s", Json.Float t.total_wall_s);
+         ("cache_hits", Json.Int (cache_hits t));
+         ("failures", Json.Int (failures t));
+         ("degraded", Json.Int (degraded t));
+         ("jobs", Json.Arr (Array.to_list (Array.map job t.results)));
+       ])
+  ^ "\n"
 
 let rec mkdir_p dir =
   if not (String.equal dir "") && not (String.equal dir ".") && not (String.equal dir "/") && not (Sys.file_exists dir) then begin

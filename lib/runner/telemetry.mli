@@ -51,14 +51,13 @@ val exit_code : t -> int
 val summary : t -> string
 (** Rendered per-job table plus a totals line. *)
 
-val to_json : ?profiles:(string * string) list -> t -> string
-(** Machine-readable report: schema ["ccsim-runner/1"], pool size, host
-    cores, the {!oversubscribed} flag, total wall-clock, aggregate
-    counters, and one record per job. [profiles]
-    maps job names to pre-rendered JSON objects (engine-profiler output,
-    see {!Ccsim_obs.Profile.to_json}); a matching job record gains a
-    ["profile"] field. The strings are embedded verbatim and must be
-    valid JSON. *)
+val to_json : ?profiles:(string * Ccsim_obs.Json.t) list -> t -> string
+(** Machine-readable report, one spaced-layout JSON document and a
+    newline: schema ["ccsim-runner/1"], pool size, host cores, the
+    {!oversubscribed} flag, total wall-clock, aggregate counters, and
+    one record per job. [profiles] maps job names to engine-profiler
+    objects (see {!Ccsim_obs.Profile.to_json}); a matching job record
+    gains a ["profile"] field. *)
 
-val write_json : ?profiles:(string * string) list -> t -> path:string -> unit
+val write_json : ?profiles:(string * Ccsim_obs.Json.t) list -> t -> path:string -> unit
 (** [to_json] written atomically; parent directories are created. *)

@@ -73,11 +73,26 @@ let test_flight_rec_level () =
         (String.length filtered < String.length full);
       check_code "bad level is a usage error" "e4 --flight-rec-level loud" 2)
 
+let test_malformed_series_file () =
+  (* A bad \u escape in a series file is a usage error for both offline
+     readers, not an uncaught exception (which would exit 125). *)
+  let tmp = Filename.temp_file "ccsim_series" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let oc = open_out_bin tmp in
+      output_string oc "{\"series\":\"x\\uZZZZ\",\"labels\":{},\"t\":1,\"v\":2}\n";
+      close_out oc;
+      check_code "analyze rejects the file" ("analyze " ^ Filename.quote tmp) 2;
+      check_code "explain rejects the file" ("explain " ^ Filename.quote tmp) 2)
+
 let suite =
   [
     Alcotest.test_case "exit 0: success paths" `Quick test_ok;
     Alcotest.test_case "exit 2: usage errors (incl. fault plans)" `Quick test_usage_errors;
     Alcotest.test_case "exit 1: job failure" `Quick test_job_failure;
     Alcotest.test_case "exit 124: unsupported backend" `Quick test_unsupported_backend;
+    Alcotest.test_case "exit 2: malformed series file (analyze, explain)" `Quick
+      test_malformed_series_file;
     Alcotest.test_case "flight recorder: severity floor flag" `Slow test_flight_rec_level;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: CSV export, packet tracing,
-   variable-rate links, Nimbus specifics, and failure injection. *)
+(* Tests for the extension modules: CSV export, variable-rate links,
+   Nimbus specifics, and failure injection. *)
 
 module Sim = Ccsim_engine.Sim
 module Net = Ccsim_net
@@ -16,91 +16,6 @@ let test_csv_escaping () =
 let test_csv_roundtrip () =
   let row = [ "plain"; "with,comma"; "with\"quote"; "" ] in
   Alcotest.(check (list string)) "roundtrip" row (U.Csv.parse_line (U.Csv.row_to_string row))
-
-let test_csv_document () =
-  let doc = U.Csv.to_string ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "3"; "4" ] ] in
-  Alcotest.(check string) "document" "a,b\n1,2\n3,4\n" doc;
-  Alcotest.check_raises "arity" (Invalid_argument "Csv.to_string: row 0 arity mismatch")
-    (fun () -> ignore (U.Csv.to_string ~header:[ "a" ] [ [ "1"; "2" ] ]))
-
-let test_csv_of_timeseries () =
-  let ts = U.Timeseries.create () in
-  U.Timeseries.add ts ~time:0.0 ~value:1.0;
-  U.Timeseries.add ts ~time:1.0 ~value:2.0;
-  let csv = U.Csv.of_timeseries ts ~names:("t", "v") in
-  Alcotest.(check bool) "has header and rows" true
-    (String.length csv > 10 && String.sub csv 0 3 = "t,v")
-
-let test_csv_of_cdf () =
-  let cdf = U.Cdf.of_samples [| 1.0; 2.0 |] in
-  let csv = U.Csv.of_cdf cdf in
-  Alcotest.(check bool) "cdf export" true
-    (String.length csv > 10)
-
-(* --- Trace --------------------------------------------------------------------- *)
-
-let test_trace_tap_records () =
-  let sim = Sim.create () in
-  let trace = Net.Trace.create sim in
-  let delivered = ref 0 in
-  let sink = Net.Trace.tap trace ~point:"rx" (fun _ -> incr delivered) in
-  let pkt = Net.Packet.data ~flow:3 ~seq:0 ~payload_bytes:100 ~sent_at:0.0 () in
-  sink pkt;
-  Alcotest.(check int) "forwarded" 1 !delivered;
-  match Net.Trace.deliveries_for trace ~flow:3 with
-  | [ e ] ->
-      Alcotest.(check string) "point" "rx" e.point;
-      Alcotest.(check bool) "data not ack" false e.is_ack
-  | _ -> Alcotest.fail "expected one delivery event"
-
-let test_trace_capacity_bound () =
-  let sim = Sim.create () in
-  let trace = Net.Trace.create ~capacity:10 sim in
-  for i = 0 to 99 do
-    Net.Trace.record trace ~kind:Net.Trace.Sent ~point:"tx"
-      (Net.Packet.data ~flow:0 ~seq:i ~payload_bytes:10 ~sent_at:0.0 ())
-  done;
-  Alcotest.(check int) "total observed" 100 (Net.Trace.count trace);
-  Alcotest.(check int) "window bounded" 10 (List.length (Net.Trace.events trace));
-  (* Retained events are the newest. *)
-  (match Net.Trace.events trace with
-  | first :: _ -> Alcotest.(check int) "oldest retained is seq 90" 90 first.seq
-  | [] -> Alcotest.fail "no events");
-  match List.rev (Net.Trace.events trace) with
-  | newest :: _ -> Alcotest.(check int) "newest retained is seq 99" 99 newest.seq
-  | [] -> Alcotest.fail "no events"
-
-(* Regression for the count/eviction window boundary: [count] keeps
-   growing after the buffer fills, and recording event [capacity + k]
-   evicts exactly the k oldest — the window spans observations
-   [(count - capacity + 1) .. count], nothing off by one. *)
-let test_trace_count_vs_eviction_boundary () =
-  let sim = Sim.create () in
-  let capacity = 5 in
-  let trace = Net.Trace.create ~capacity sim in
-  let record seq =
-    Net.Trace.record trace ~kind:Net.Trace.Sent ~point:"tx"
-      (Net.Packet.data ~flow:0 ~seq ~payload_bytes:10 ~sent_at:0.0 ())
-  in
-  (* Exactly at capacity: nothing evicted yet. *)
-  for i = 0 to capacity - 1 do record i done;
-  Alcotest.(check int) "count at capacity" capacity (Net.Trace.count trace);
-  Alcotest.(check int) "full window retained" capacity
-    (List.length (Net.Trace.events trace));
-  (match Net.Trace.events trace with
-  | first :: _ -> Alcotest.(check int) "seq 0 still retained" 0 first.seq
-  | [] -> Alcotest.fail "no events");
-  (* One past capacity: the single oldest event is evicted. *)
-  record capacity;
-  Alcotest.(check int) "count keeps growing" (capacity + 1) (Net.Trace.count trace);
-  Alcotest.(check int) "window still bounded" capacity
-    (List.length (Net.Trace.events trace));
-  (match Net.Trace.events trace with
-  | first :: _ -> Alcotest.(check int) "seq 0 evicted, window starts at 1" 1 first.seq
-  | [] -> Alcotest.fail "no events");
-  (* count - List.length (events) is exactly the evicted tally. *)
-  Alcotest.(check int) "evicted = count - retained" 1
-    (Net.Trace.count trace - List.length (Net.Trace.events trace))
 
 (* --- Rate_process --------------------------------------------------------------- *)
 
@@ -257,12 +172,6 @@ let suite =
   [
     ("csv: escaping", `Quick, test_csv_escaping);
     ("csv: roundtrip", `Quick, test_csv_roundtrip);
-    ("csv: document", `Quick, test_csv_document);
-    ("csv: timeseries export", `Quick, test_csv_of_timeseries);
-    ("csv: cdf export", `Quick, test_csv_of_cdf);
-    ("trace: tap records and forwards", `Quick, test_trace_tap_records);
-    ("trace: bounded window", `Quick, test_trace_capacity_bound);
-    ("trace: count vs eviction boundary", `Quick, test_trace_count_vs_eviction_boundary);
     ("rate: markov transitions", `Quick, test_markov_rate_changes);
     ("rate: OU mean reversion", `Quick, test_ou_mean_reversion);
     ("rate: traffic over variable link", `Quick, test_variable_link_carries_traffic);

@@ -251,7 +251,7 @@ let test_profiler_attribution () =
   List.iter
     (fun c -> Alcotest.(check bool) ("component " ^ c) true (List.mem c comps))
     [ "link"; "tcp"; "other" ];
-  let json = Profile.to_json p in
+  let json = Obs.Json.to_string (Profile.to_json p) in
   Alcotest.(check bool) "json events" true
     (contains ~sub:"\"events_executed\": 3" json)
 
@@ -336,7 +336,7 @@ let test_profile_json_shape () =
   Profile.record p ~comp:"tcp" ~seconds:0.001;
   Profile.note_pkt_delivered p;
   Profile.gc_flush p;
-  let json = Profile.to_json p in
+  let json = Obs.Json.to_string (Profile.to_json p) in
   let order =
     [
       "\"events_executed\":";
@@ -490,7 +490,7 @@ let test_report_embeds_profile () =
   Alcotest.(check bool) "component embedded" true
     (contains ~sub:"\"component\": \"link\"" json);
   (* Unmatched job names embed nothing. *)
-  let json' = Ccsim_runner.Telemetry.to_json ~profiles:[ ("other", "{}") ] tele in
+  let json' = Ccsim_runner.Telemetry.to_json ~profiles:[ ("other", Obs.Json.Obj []) ] tele in
   Alcotest.(check bool) "no stray profile" false
     (contains ~sub:"\"profile\"" json')
 
@@ -587,6 +587,229 @@ let test_span_journal () =
         (List.assoc_opt "queue_s" e.Recorder.fields)
   | es -> Alcotest.fail (Printf.sprintf "expected 1 span event, got %d" (List.length es))
 
+(* --- one JSON value type ---------------------------------------------------- *)
+
+module Json = Obs.Json
+
+let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* Timeline's awkward values (they need %.17g, or sit on the %.1f /
+   shortest boundary) plus edge-of-range floats. *)
+let awkward_floats =
+  [ 0.1 +. 0.2; 1e-17; 123456789.123456789; -3.75; 0.0; -0.0; 1e15; 9007199254740992.0;
+    5e-324; max_float; -1e300 ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let float_g = oneof [ oneofl awkward_floats; map finite float ] in
+  let str_g = string_size ~gen:char (0 -- 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) float_g;
+               map (fun s -> Json.Str s) str_g;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               (1, map (fun l -> Json.Obj l) (list_size (0 -- 4) (pair str_g (self (n / 4)))));
+             ])
+
+(* The reader's contract: a value or Parse_error, never another
+   exception (a Failure, Invalid_argument or Not_found escaping here
+   fails the property). *)
+let parses_or_rejects s =
+  match Json.of_string s with _ -> true | exception Json.Parse_error _ -> true
+
+(* Valid lines as the exporters write them, for mutation. *)
+let sample_lines () =
+  let tl = Obs.Timeline.create () in
+  let s = Obs.Timeline.series tl ~labels:[ ("flow", "a\"b") ] "goodput" in
+  List.iteri
+    (fun i v -> Obs.Timeline.record s ~time:(float_of_int i) ~value:v)
+    awkward_floats;
+  let m = Metrics.create () in
+  Metrics.inc (Metrics.counter m ~labels:[ ("qdisc", "fifo") ] "drops");
+  Metrics.set (Metrics.gauge m "g") 0.3;
+  List.iter (Metrics.observe (Metrics.histogram m "h")) [ 0.0; 0.5; 3.0 ];
+  Array.of_list
+    (lines (Obs.Timeline.to_ndjson ~extra:[ ("job", "j") ] tl)
+    @ lines (Metrics.to_ndjson ~extra:[ ("job", "j") ] m))
+
+let json_qcheck_tests =
+  let open QCheck in
+  let json_arb = make ~print:Json.to_line json_gen in
+  let samples = sample_lines () in
+  let mutated =
+    let open Gen in
+    let* line = oneofl (Array.to_list samples) in
+    let n = String.length line in
+    let* i = 0 -- (n - 1) in
+    oneof
+      [
+        return (String.sub line 0 i);
+        map
+          (fun c -> String.init n (fun j -> if j = i then c else line.[j]))
+          char;
+      ]
+  in
+  let jsonish =
+    Gen.(
+      string_size (0 -- 40)
+        ~gen:
+          (oneofl
+             [ '{'; '}'; '['; ']'; '"'; '\\'; 'u'; ':'; ','; '0'; '9'; 'e'; '.'; '-'; 'n';
+               't'; 'f'; ' '; 'Z'; 'D'; '8' ]))
+  in
+  [
+    Test.make ~name:"json: compact and spaced layouts round-trip" ~count:500 json_arb
+      (fun v -> Json.of_string (Json.to_line v) = v && Json.of_string (Json.to_string v) = v);
+    Test.make ~name:"json: reader raises only Parse_error (arbitrary bytes)" ~count:1000
+      (string_gen Gen.char) parses_or_rejects;
+    Test.make ~name:"json: reader raises only Parse_error (json-like text)" ~count:1000
+      (make ~print:(Printf.sprintf "%S") jsonish) parses_or_rejects;
+    Test.make ~name:"json: reader raises only Parse_error (mutated export lines)" ~count:2000
+      (make ~print:(Printf.sprintf "%S") mutated) parses_or_rejects;
+  ]
+
+let test_json_bad_unicode_escape () =
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | _ -> Alcotest.failf "accepted %S" s
+      | exception Json.Parse_error _ -> ())
+    [
+      {|"x\uZZZZ"|};
+      {|"\u12"|};
+      {|"\u00G0"|};
+      {|{"series":"x\uZZZZ","labels":{},"t":1,"v":2}|};
+      (* nested past the reader's depth bound, not into a stack overflow *)
+      String.make 100_000 '[';
+    ];
+  Alcotest.(check bool) "valid escape decodes" true
+    (Json.of_string {|"\u00e9\u0001"|} = Json.Str "\xC3\xA9\001")
+
+let test_json_number_spelling () =
+  List.iter
+    (fun (v, spelled) -> Alcotest.(check string) spelled spelled (Json.to_line (Json.Float v)))
+    [
+      (5.0, "5.0");
+      (-0.0, "-0.0");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1e-17, "1e-17");
+      (1e15, "1e+15");
+      (9007199254740992.0, "9007199254740992.0");
+      (nan, "null");
+      (infinity, "null");
+    ];
+  Alcotest.(check string) "int" "-3" (Json.to_line (Json.Int (-3)));
+  Alcotest.(check string) "spaced"
+    {|{"a": [1, 2.5], "b": {}, "c": null}|}
+    (Json.to_string (Json.Obj [ ("a", Json.Arr [ Json.Int 1; Json.Float 2.5 ]); ("b", Json.Obj []); ("c", Json.Null) ]));
+  Alcotest.(check string) "compact" {|{"a":[1,2.5],"s":"q\"\n\u0001"}|}
+    (Json.to_line (Json.Obj [ ("a", Json.Arr [ Json.Int 1; Json.Float 2.5 ]); ("s", Json.Str "q\"\n\001") ]))
+
+let test_metrics_nonfinite_gauges () =
+  let m = Metrics.create () in
+  Metrics.set (Metrics.gauge m "g_nan") nan;
+  Metrics.set (Metrics.gauge m "g_inf") infinity;
+  Metrics.set (Metrics.gauge m "g_ninf") neg_infinity;
+  let out = lines (Metrics.to_ndjson m) in
+  Alcotest.(check int) "three lines" 3 (List.length out);
+  List.iter
+    (fun line ->
+      match Json.of_string line with
+      | Json.Obj fields ->
+          Alcotest.(check bool) ("null value: " ^ line) true (List.assoc "value" fields = Json.Null)
+      | _ -> Alcotest.failf "not an object: %s" line)
+    out
+
+(* Every JSON artifact parses with the one reader, and printing the
+   parsed value gives back the exporter's bytes. *)
+let test_json_artifacts_reprint () =
+  let reprints_line line =
+    Alcotest.(check string) "line reprints" line (Json.to_line (Json.of_string line))
+  in
+  let reprints_doc doc =
+    Alcotest.(check string) "document reprints" doc (Json.to_string (Json.of_string doc))
+  in
+  let p = Profile.create () in
+  Profile.record p ~comp:"tcp" ~seconds:0.00123;
+  Profile.note_sim_time p 2.5;
+  Profile.note_pkt_delivered p;
+  reprints_doc (Json.to_string (Profile.to_json p));
+  let job = Ccsim_runner.Job.make ~name:"j\"1" ~digest:"d1" (fun () -> "out\n") in
+  let results = Ccsim_runner.Pool.run (Ccsim_runner.Pool.config ~jobs:1 ()) [ job ] in
+  let tele = Ccsim_runner.Telemetry.make ~pool_jobs:1 ~total_wall_s:0.1 results in
+  let report = Ccsim_runner.Telemetry.to_json ~profiles:[ ("j\"1", Profile.to_json p) ] tele in
+  Alcotest.(check bool) "report ends in a newline" true
+    (String.ends_with ~suffix:"\n" report);
+  reprints_doc (String.trim report);
+  let tl = Obs.Timeline.create () in
+  let s = Obs.Timeline.series tl ~labels:[ ("flow", "a") ] "goodput" in
+  List.iteri
+    (fun i v -> Obs.Timeline.record s ~time:(0.1 *. float_of_int i) ~value:v)
+    (awkward_floats @ [ nan ]);
+  let m = Metrics.create () in
+  Metrics.set (Metrics.gauge m "g") (0.1 +. 0.2);
+  List.iter (Metrics.observe (Metrics.histogram m "h")) [ 0.0; 1e-9; 3.0 ];
+  let r = Recorder.create () in
+  Recorder.record r ~at:(0.1 +. 0.2) ~kind:"qdisc" ~point:"fifo"
+    ~fields:[ ("flow", "3") ] "drop\r\n";
+  Recorder.record r ~at:1.0 ~kind:"app" ~point:"x" "tab\there";
+  let sp = Obs.Span.create ~sample:1 () in
+  Obs.Span.note_enqueue sp ~hop:"bottleneck" ~at:0.5 ~uid:0 ~flow:1 ~seq:2 ~bytes:1500
+    ~kind:"data";
+  Obs.Span.note_dequeue sp ~hop:"bottleneck" ~at:0.75 ~uid:0;
+  Obs.Span.note_tx sp ~hop:"bottleneck" ~at:(0.1 +. 0.9) ~uid:0;
+  Obs.Span.note_delivered sp ~hop:"bottleneck" ~at:1.5 ~uid:0;
+  List.iter reprints_line
+    (lines (Obs.Timeline.to_ndjson ~extra:[ ("job", "j") ] tl)
+    @ lines (Metrics.to_ndjson ~extra:[ ("job", "j") ] m)
+    @ lines (Recorder.to_ndjson ~extra:[ ("job", "j") ] r));
+  let trace = Obs.Chrome_trace.to_string [ ("job", Some tl, Some r, Some sp) ] in
+  (match Json.of_string trace with
+  | Json.Arr (_ :: _) -> ()
+  | _ -> Alcotest.fail "trace is not a non-empty array");
+  (* One event per line between the brackets. *)
+  lines trace
+  |> List.filter (fun l -> l <> "[" && l <> "]")
+  |> List.iter (fun l ->
+         reprints_line
+           (if String.ends_with ~suffix:"," l then String.sub l 0 (String.length l - 1) else l))
+
+(* A CR in a label, detail or fields cell is quoted, so it survives a
+   CSV round trip. *)
+let test_csv_exports_quote_cr () =
+  let r = Recorder.create () in
+  Recorder.record r ~at:1.0 ~kind:"app" ~point:"p" ~fields:[ ("k", "x\ry") ] "a\rb";
+  (match lines (Recorder.to_csv r) with
+  | [ _header; row ] -> (
+      match Ccsim_util.Csv.parse_line row with
+      | [ _at; _sev; _class; _point; detail; fields ] ->
+          Alcotest.(check string) "detail intact" "a\rb" detail;
+          Alcotest.(check string) "fields intact" "k=x\ry" fields
+      | cells -> Alcotest.failf "expected 6 cells, got %d" (List.length cells))
+  | l -> Alcotest.failf "expected header + 1 row, got %d lines" (List.length l));
+  let tl = Obs.Timeline.create () in
+  Obs.Timeline.record (Obs.Timeline.series tl ~labels:[ ("flow", "a\rb") ] "s") ~time:1.0
+    ~value:2.0;
+  match lines (Obs.Timeline.to_csv tl) with
+  | [ _header; row ] ->
+      Alcotest.(check (list string)) "timeline row" [ "s"; "flow=a\rb"; "1"; "2" ]
+        (Ccsim_util.Csv.parse_line row)
+  | l -> Alcotest.failf "expected header + 1 row, got %d lines" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "metrics: counter basics" `Quick test_counter_basics;
@@ -625,4 +848,15 @@ let suite =
     Alcotest.test_case "span: seal order and capacity eviction" `Quick
       test_span_seal_and_eviction;
     Alcotest.test_case "span: journals to the flight recorder" `Quick test_span_journal;
+    Alcotest.test_case "json: bad escapes and deep nesting are Parse_error" `Quick
+      test_json_bad_unicode_escape;
+    Alcotest.test_case "json: one number spelling, two layouts" `Quick
+      test_json_number_spelling;
+    Alcotest.test_case "json: non-finite gauges export as null" `Quick
+      test_metrics_nonfinite_gauges;
+    Alcotest.test_case "json: every artifact reprints byte-identically" `Quick
+      test_json_artifacts_reprint;
+    Alcotest.test_case "csv: CR in recorder and timeline cells round-trips" `Quick
+      test_csv_exports_quote_cr;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) json_qcheck_tests

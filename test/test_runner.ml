@@ -248,7 +248,8 @@ let test_registry_complete () =
   Alcotest.(check bool) "find p1" true (E.find "p1" <> None);
   (match E.find "p1" with
   | Some p1 ->
-      Alcotest.(check (list string)) "p1 backends" [ "fluid"; "hybrid" ] p1.E.backends;
+      Alcotest.(check (list string)) "p1 backends" [ "fluid"; "hybrid" ]
+        (List.map Ccsim_fluid.Backend.name p1.E.backends);
       let params = E.effective_params p1 ~seed:7 () in
       Alcotest.(check (option string)) "backend default in params" (Some "fluid")
         (List.assoc_opt "backend" params)

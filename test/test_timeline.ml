@@ -249,9 +249,9 @@ let test_profiler_sim_speedup () =
   (* non-monotone input ignored *)
   Alcotest.(check (float 1e-9)) "sim seconds" 5.0 (Profile.sim_s p);
   Alcotest.(check (float 1e-9)) "speedup" 10.0 (Profile.sim_speedup p);
-  Alcotest.(check bool) "json sim_s" true (contains ~sub:"\"sim_s\": 5.0" (Profile.to_json p));
+  Alcotest.(check bool) "json sim_s" true (contains ~sub:"\"sim_s\": 5.0" (Obs.Json.to_string (Profile.to_json p)));
   Alcotest.(check bool) "json speedup" true
-    (contains ~sub:"\"sim_speedup\": 10.0" (Profile.to_json p));
+    (contains ~sub:"\"sim_speedup\": 10.0" (Obs.Json.to_string (Profile.to_json p)));
   Alcotest.(check bool) "summary speedup" true
     (contains ~sub:"sim-s" (Profile.summary p));
   (* And via the engine: a run advances the profile's sim clock. *)
@@ -418,20 +418,23 @@ let test_chrome_trace_structure () =
        (Scope.v ~timeline:tl ~recorder:r ())
        (fun () -> Scenario.run (congested_scenario 42)));
   let trace = Obs.Chrome_trace.to_string [ ("tl-e2e", Some tl, Some r, None) ] in
-  match Offline.json_of_string trace with
-  | Offline.Arr events ->
+  match Obs.Json.of_string trace with
+  | Obs.Json.Arr events ->
       Alcotest.(check bool) "non-empty" true (events <> []);
       let last_ts : (string, float) Hashtbl.t = Hashtbl.create 64 in
       let counters = ref 0 and instants = ref 0 in
       List.iter
         (fun ev ->
           match ev with
-          | Offline.Obj fields ->
+          | Obs.Json.Obj fields ->
               let str k =
-                match List.assoc_opt k fields with Some (Offline.Str s) -> Some s | _ -> None
+                match List.assoc_opt k fields with Some (Obs.Json.Str s) -> Some s | _ -> None
               in
               let num k =
-                match List.assoc_opt k fields with Some (Offline.Num v) -> Some v | _ -> None
+                match List.assoc_opt k fields with
+                | Some (Obs.Json.Float v) -> Some v
+                | Some (Obs.Json.Int i) -> Some (float_of_int i)
+                | _ -> None
               in
               let ph =
                 match str "ph" with Some p -> p | None -> Alcotest.fail "event without ph"
@@ -482,13 +485,13 @@ let test_chrome_trace_golden () =
       [
         "[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"job\"}}";
         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"hop: bottleneck\"}}";
-        "{\"name\":\"job\",\"ph\":\"X\",\"ts\":1000000.000,\"dur\":2000000.000,\"pid\":1,\"tid\":0}";
-        "{\"name\":\"goodput{flow=a}\",\"ph\":\"C\",\"ts\":1000000.000,\"pid\":1,\"args\":{\"value\":2}}";
-        "{\"name\":\"queue\",\"ph\":\"X\",\"ts\":1500000.000,\"dur\":250000.000,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
-        "{\"name\":\"serialize\",\"ph\":\"X\",\"ts\":1750000.000,\"dur\":250000.000,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
-        "{\"name\":\"qdisc:drop\",\"ph\":\"i\",\"ts\":2000000.000,\"pid\":1,\"tid\":1,\"s\":\"p\",\"args\":{\"point\":\"bottleneck\",\"severity\":\"info\",\"uid\":\"5\"}}";
-        "{\"name\":\"propagate\",\"ph\":\"X\",\"ts\":2000000.000,\"dur\":500000.000,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
-        "{\"name\":\"goodput{flow=a}\",\"ph\":\"C\",\"ts\":3000000.000,\"pid\":1,\"args\":{\"value\":4}}\n]\n";
+        "{\"name\":\"job\",\"ph\":\"X\",\"ts\":1000000.0,\"dur\":2000000.0,\"pid\":1,\"tid\":0}";
+        "{\"name\":\"goodput{flow=a}\",\"ph\":\"C\",\"ts\":1000000.0,\"pid\":1,\"args\":{\"value\":2.0}}";
+        "{\"name\":\"queue\",\"ph\":\"X\",\"ts\":1500000.0,\"dur\":250000.0,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
+        "{\"name\":\"serialize\",\"ph\":\"X\",\"ts\":1750000.0,\"dur\":250000.0,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
+        "{\"name\":\"qdisc:drop\",\"ph\":\"i\",\"ts\":2000000.0,\"pid\":1,\"tid\":1,\"s\":\"p\",\"args\":{\"point\":\"bottleneck\",\"severity\":\"info\",\"uid\":\"5\"}}";
+        "{\"name\":\"propagate\",\"ph\":\"X\",\"ts\":2000000.0,\"dur\":500000.0,\"pid\":1,\"tid\":2,\"args\":{\"hop\":\"bottleneck\",\"uid\":0,\"flow\":1,\"seq\":2,\"kind\":\"data\",\"outcome\":\"delivered\"}}";
+        "{\"name\":\"goodput{flow=a}\",\"ph\":\"C\",\"ts\":3000000.0,\"pid\":1,\"args\":{\"value\":4.0}}\n]\n";
       ]
   in
   Alcotest.(check string) "golden trace" expected trace
