@@ -872,6 +872,13 @@ let perf_cmd =
           BENCH_engine.json")
     Term.(const run $ quick_arg $ out_arg $ seed_arg $ iters_arg)
 
+let elasticity_threshold_arg =
+  let default = Ccsim_measure.Elasticity.threshold in
+  let doc =
+    Printf.sprintf "Elasticity p90 classification threshold (fig3's rule uses %g)." default
+  in
+  Arg.(value & opt float default & info [ "threshold" ] ~docv:"X" ~doc)
+
 let analyze_cmd =
   let file_arg =
     let doc = "NDJSON series file produced by a run with --series." in
@@ -885,16 +892,15 @@ let analyze_cmd =
     let doc = "Drop samples after this time (seconds) from elasticity classification." in
     Arg.(value & opt (some float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
   in
-  let threshold_arg =
-    let doc = "Elasticity p90 classification threshold (fig3's rule uses 0.5)." in
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
-  in
   let shift_threshold_arg =
+    let default = Ccsim_measure.Changepoint.shift_threshold in
     let doc =
-      "Minimum largest-shift / mean ratio for a change-point verdict of \
-       contention-consistent (fig2's rule uses 0.2)."
+      Printf.sprintf
+        "Minimum largest-shift / mean ratio for a change-point verdict of \
+         contention-consistent (fig2's rule uses %g)."
+        default
     in
-    Arg.(value & opt float 0.2 & info [ "shift-threshold" ] ~docv:"X" ~doc)
+    Arg.(value & opt float default & info [ "shift-threshold" ] ~docv:"X" ~doc)
   in
   let run file warmup until threshold shift_threshold =
     match Ccsim_measure.Offline.load file with
@@ -916,7 +922,8 @@ let analyze_cmd =
          "Re-run the change-point and elasticity detectors offline over a --series \
           recording; on a same-seed recording this reproduces the in-sim verdicts")
     Term.(
-      const run $ file_arg $ warmup_arg $ until_arg $ threshold_arg $ shift_threshold_arg)
+      const run $ file_arg $ warmup_arg $ until_arg $ elasticity_threshold_arg
+      $ shift_threshold_arg)
 
 let explain_cmd =
   let file_arg =
@@ -933,10 +940,6 @@ let explain_cmd =
   let until_arg =
     let doc = "Drop samples after this time (seconds) from the analysis window." in
     Arg.(value & opt (some float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
-  in
-  let threshold_arg =
-    let doc = "Elasticity p90 classification threshold (fig3's rule uses 0.5)." in
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
   in
   let run file warmup until threshold =
     match Ccsim_measure.Offline.load file with
@@ -958,7 +961,7 @@ let explain_cmd =
           (app/rwnd/cwnd/pacing/recovery), queueing-delay share of RTT, bottleneck \
           occupancy and drop shares, contended time, and the scenario's cross-traffic \
           elasticity verdict (same rule as the online Nimbus detector)")
-    Term.(const run $ file_arg $ warmup_arg $ until_arg $ threshold_arg)
+    Term.(const run $ file_arg $ warmup_arg $ until_arg $ elasticity_threshold_arg)
 
 let main =
   let doc = "reproduce 'How I Learned to Stop Worrying About CCA Contention' (HotNets '23)" in

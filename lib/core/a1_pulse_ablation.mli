@@ -14,6 +14,8 @@ type row = {
   inelastic_p90 : float;  (** p90 elasticity vs CBR UDP *)
   separation : float;  (** elastic − inelastic *)
   both_classified_correctly : bool;
+      (** {!Ccsim_measure.Elasticity} calls the Reno case elastic and the
+          CBR case not *)
   probe_goodput_mbps : float;  (** vs the Reno cross traffic *)
 }
 

@@ -6,7 +6,7 @@
     moderate, severe) batters the bottleneck with outages, burst loss,
     corruption, delay spikes and qdisc resets. The faults are
     non-congestive by construction, so the paper's contention verdict
-    (p90 elasticity over the post-warmup window, threshold 0.5) should
+    ({!Ccsim_measure.Elasticity} over the post-warmup window) should
     match the fault-free verdict of the same case — the [stable]
     column. The verdict is computed over {e fault-quiet} samples: while
     a plan window (plus a 2 s recovery guard) is live there is no

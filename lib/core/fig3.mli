@@ -14,7 +14,7 @@ type row = {
   expected_elastic : bool;
   mean_elasticity : float;  (** over the steady-state window *)
   p90_elasticity : float;
-  classified_elastic : bool;  (** p90 > 0.5 *)
+  classified_elastic : bool;  (** {!Ccsim_measure.Elasticity}'s verdict *)
   probe_goodput_mbps : float;
   cross_goodput_mbps : float;
   elasticity_series : Ccsim_util.Timeseries.t;

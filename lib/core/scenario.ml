@@ -135,11 +135,10 @@ type live = {
   sender : Tcp.Sender.t option;
   receiver : Tcp.Receiver.t option;
   udp_sink : Tcp.Udp.Sink.t option;
-  monitor : Measure.Telemetry.Flow_monitor.t option;
+  monitor : Measure.Monitor.Flow_monitor.t option;
   nimbus : Cca.Nimbus.handle option;
   mutable video : App.Video.t option;
   mutable speedtest : App.Speedtest.t option;
-  mutable acked_at_window_start : int;
   mutable received_at_window_start : int;
   mutable offered_at_window_start : int;
   mutable cbr : App.Cbr.t option;
@@ -164,7 +163,7 @@ let run t =
     Net.Topology.dumbbell sim ~rate_bps:t.rate_bps ~delay_s:t.delay_s ~qdisc ~edge_delay
       ~ingress:ingress_of ()
   in
-  let queue_monitor = Measure.Telemetry.Queue_monitor.create sim ~qdisc () in
+  let queue_monitor = Measure.Monitor.Queue_monitor.create sim ~qdisc () in
   (match t.rate_variation with
   | Steady -> ()
   | Markov_states states_bps ->
@@ -204,7 +203,6 @@ let run t =
             nimbus = None;
             video = None;
             speedtest = None;
-            acked_at_window_start = 0;
             received_at_window_start = 0;
             offered_at_window_start = 0;
             cbr = None;
@@ -226,7 +224,7 @@ let run t =
             ?rcv_buffer_bytes:spec.rcv_buffer_bytes ?consume_rate_bps:spec.consume_rate_bps ()
         in
         let monitor =
-          Measure.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~label:spec.label
+          Measure.Monitor.Flow_monitor.create sim ~sender:conn.sender ~label:spec.label
             ~interval:t.monitor_interval ()
         in
         let live =
@@ -241,7 +239,6 @@ let run t =
             nimbus;
             video = None;
             speedtest = None;
-            acked_at_window_start = 0;
             received_at_window_start = 0;
             offered_at_window_start = 0;
             cbr = None;
@@ -302,9 +299,6 @@ let run t =
       let window_start = Float.max t.warmup live.spec.start in
       ignore
         (Sim.schedule_at sim ~time:window_start (fun () ->
-             (match live.sender with
-             | Some s -> live.acked_at_window_start <- Tcp.Sender.bytes_acked s
-             | None -> ());
              (match live.receiver with
              | Some r -> live.received_at_window_start <- Tcp.Receiver.bytes_received r
              | None -> ());
@@ -367,7 +361,7 @@ let run t =
         let info = Option.map Tcp.Sender.info live.sender in
         let throughput =
           match live.monitor with
-          | Some m -> Measure.Telemetry.Flow_monitor.throughput m
+          | Some m -> Measure.Monitor.Flow_monitor.throughput m
           | None -> (
               match live.udp_sink with
               | Some sink ->
@@ -387,7 +381,7 @@ let run t =
         let mean_srtt =
           match live.monitor with
           | Some m ->
-              let s = Measure.Telemetry.Flow_monitor.srtt m in
+              let s = Measure.Monitor.Flow_monitor.srtt m in
               if U.Timeseries.is_empty s then 0.0 else U.Timeseries.mean_value s
           | None -> 0.0
         in
@@ -448,8 +442,8 @@ let run t =
     utilization = Net.Link.utilization topo.bottleneck ~now:t.duration;
     bottleneck_drops = qdisc.Net.Qdisc.stats.dropped;
     bottleneck_loss_rate = Net.Qdisc.loss_rate qdisc;
-    mean_queue_bytes = Measure.Telemetry.Queue_monitor.mean_backlog_bytes queue_monitor;
-    max_queue_bytes = Measure.Telemetry.Queue_monitor.max_backlog_bytes queue_monitor;
+    mean_queue_bytes = Measure.Monitor.Queue_monitor.mean_backlog_bytes queue_monitor;
+    max_queue_bytes = Measure.Monitor.Queue_monitor.max_backlog_bytes queue_monitor;
     short_flow_stats;
     faults = Option.map Ccsim_faults.Injector.summary injector;
   }

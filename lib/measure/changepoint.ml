@@ -115,3 +115,18 @@ let largest_shift signal changes =
     | [ _ ] | [] -> acc
   in
   max_jump 0.0 means
+
+let shift_threshold = 0.2
+
+type verdict = { change_points : int list; largest_shift : float; consistent : bool }
+
+let contention ?penalty ?(shift_threshold = shift_threshold) ~mean signal =
+  let change_points = pelt ?penalty signal in
+  let largest_shift = largest_shift signal change_points in
+  {
+    change_points;
+    largest_shift;
+    consistent =
+      (match change_points with [] -> false | _ :: _ -> true)
+      && largest_shift /. Float.max 1e-9 mean >= shift_threshold;
+  }

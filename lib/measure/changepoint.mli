@@ -1,11 +1,17 @@
-(** Offline change-point detection for piecewise-constant signals.
+(** Offline change-point detection for piecewise-constant signals,
+    and the paper's Fig 2 verdict built on it.
 
     Implements the two standard exact/greedy methods from Truong et
     al.'s review [60], which the paper cites for its M-Lab throughput
     analysis: PELT (exact minimisation of penalised least-squares
     segmentation cost, Killick et al. 2012) and binary segmentation.
     The cost of a segment is its sum of squared deviations from the
-    segment mean (the L2 / piecewise-constant-mean model). *)
+    segment mean (the L2 / piecewise-constant-mean model).
+
+    {!contention} is the §3.1 rule: a throughput trace is
+    contention-consistent when PELT finds a level shift of at least
+    {!shift_threshold} of the flow's mean. FIG2, A2 (through
+    {!Mlab_analysis}) and the offline analyzer all judge through it. *)
 
 val segment_cost : prefix:float array -> prefix_sq:float array -> int -> int -> float
 (** [segment_cost ~prefix ~prefix_sq i j] is the L2 cost of the
@@ -38,3 +44,21 @@ val segment_means : float array -> int list -> (int * int * float) list
 val largest_shift : float array -> int list -> float
 (** Largest absolute difference between adjacent segment means; 0 when
     there are no change points. *)
+
+val shift_threshold : float
+(** 0.2: a 20% throughput level shift. *)
+
+type verdict = {
+  change_points : int list;
+  largest_shift : float;  (** {!largest_shift} over [change_points] *)
+  consistent : bool;
+      (** at least one change point, and
+          [largest_shift /. Float.max 1e-9 mean >= shift_threshold] *)
+}
+
+val contention :
+  ?penalty:float -> ?shift_threshold:float -> mean:float -> float array -> verdict
+(** The Fig 2 verdict over one throughput trace: {!pelt} (with
+    [penalty], default {!default_penalty}), then its largest level
+    shift against [mean]. [shift_threshold] defaults to
+    {!shift_threshold}. *)

@@ -1,33 +1,25 @@
-(** Offline elasticity estimation (Nimbus, §3.2).
+(** The paper's Fig 3 verdict (§3.2): is the cross traffic elastic?
 
-    Computes the elasticity metric of recorded cross-traffic-estimate
-    and own-send-rate signals: the one-sided FFT magnitude of the
-    (mean-removed) cross-traffic estimate at the probe's pulse
-    frequency, normalised by the corresponding magnitude of the sender's
-    own rate signal. Elastic (buffer-filling) cross traffic mirrors the
-    pulses and scores near or above 1; inelastic traffic scores near 0.
+    A Nimbus probe (see {!Ccsim_cca.Nimbus}) scores the cross traffic's
+    response to its pulses; elastic (buffer-filling) traffic mirrors
+    them and scores near or above 1, inelastic traffic near 0.
+    Contention is intermittent — loss-based cross traffic responds
+    hardest around its backoff episodes — so the verdict keys on the
+    upper tail of the steady-state scores: elastic iff their p90
+    exceeds {!threshold}. FIG3, C1, A1 and the offline analyzer all
+    classify through {!of_samples}. *)
 
-    The online estimator embedded in {!Ccsim_cca.Nimbus} uses the same
-    construction over a sliding window; this module exists to score
-    recorded time series and to test the estimator against synthetic
-    signals. *)
+val threshold : float
+(** 0.5. *)
 
-val score :
-  sample_rate:float -> pulse_freq:float -> cross:float array -> own:float array -> float
-(** Both signals must have the same power-of-two length. The [own]
-    magnitude is floored at a small epsilon to avoid division blow-ups
-    when the probe was quiescent. *)
+type t = {
+  samples : int;
+  mean : float;
+  p90 : float;
+  elastic : bool;  (** [p90 > threshold] *)
+}
 
-val windowed :
-  sample_rate:float ->
-  pulse_freq:float ->
-  window:int ->
-  cross:Ccsim_util.Timeseries.t ->
-  own:Ccsim_util.Timeseries.t ->
-  Ccsim_util.Timeseries.t
-(** Slide a [window]-sample (power of two) window over the two series
-    (resampled to [sample_rate]) and emit one elasticity score per half
-    window, timestamped at the window's end. *)
-
-val classify : ?threshold:float -> float -> [ `Elastic | `Inelastic ]
-(** Default threshold 0.5, as used for Nimbus's mode switch. *)
+val of_samples : ?threshold:float -> float array -> t
+(** The verdict over steady-state elasticity samples (the caller picks
+    the window). [threshold] defaults to {!threshold}. An empty array
+    gives zeros and not elastic. *)

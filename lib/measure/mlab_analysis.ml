@@ -30,15 +30,14 @@ type report = {
   verdicts : verdict list;
 }
 
-let categorize ?(limited_threshold = 0.0) (r : Ndt.record) =
-  if r.app_limited_frac > limited_threshold then App_limited
-  else if r.rwnd_limited_frac > limited_threshold then Rwnd_limited
+let categorize (r : Ndt.record) =
+  if r.app_limited_frac > 0.0 then App_limited
+  else if r.rwnd_limited_frac > 0.0 then Rwnd_limited
   else if Ndt.access_equal r.access Ndt.Cellular then Cellular
   else Candidate
 
-let analyze_record ?(shift_threshold = 0.2) ?limited_threshold ?penalty_scale (r : Ndt.record)
-    =
-  let category = categorize ?limited_threshold r in
+let analyze_record ?penalty_scale (r : Ndt.record) =
+  let category = categorize r in
   match category with
   | App_limited | Rwnd_limited | Cellular ->
       {
@@ -54,21 +53,17 @@ let analyze_record ?(shift_threshold = 0.2) ?limited_threshold ?penalty_scale (r
           (fun scale -> scale *. Changepoint.default_penalty r.throughput_mbps)
           penalty_scale
       in
-      let changes = Changepoint.pelt ?penalty r.throughput_mbps in
-      let shift = Changepoint.largest_shift r.throughput_mbps changes in
-      let mean = Float.max 1e-9 r.mean_throughput_mbps in
+      let v = Changepoint.contention ?penalty ~mean:r.mean_throughput_mbps r.throughput_mbps in
       {
         record = r;
         category;
-        change_points = changes;
-        largest_shift_mbps = shift;
-        contention_consistent = (match changes with [] -> false | _ :: _ -> true) && shift /. mean >= shift_threshold;
+        change_points = v.change_points;
+        largest_shift_mbps = v.largest_shift;
+        contention_consistent = v.consistent;
       }
 
-let analyze ?shift_threshold ?limited_threshold ?penalty_scale records =
-  let verdicts =
-    List.map (analyze_record ?shift_threshold ?limited_threshold ?penalty_scale) records
-  in
+let analyze ?penalty_scale records =
+  let verdicts = List.map (analyze_record ?penalty_scale) records in
   let count p = List.length (List.filter p verdicts) in
   let total = List.length verdicts in
   let n_candidates = count (fun v -> category_equal v.category Candidate) in

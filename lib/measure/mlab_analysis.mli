@@ -24,8 +24,8 @@ type verdict = {
   change_points : int list;  (** only computed for [Candidate] flows *)
   largest_shift_mbps : float;
   contention_consistent : bool;
-      (** at least one change point with a level shift of at least
-          [shift_threshold] x the flow's mean throughput *)
+      (** {!Changepoint.contention}'s verdict; [false] for
+          non-candidates *)
 }
 
 type report = {
@@ -42,26 +42,17 @@ type report = {
   verdicts : verdict list;
 }
 
-val categorize : ?limited_threshold:float -> Ndt.record -> category
-(** The paper uses "field greater than zero"; the default threshold is
-    exactly that (0.0 of lifetime fraction). *)
+val categorize : Ndt.record -> category
+(** The paper's rule: a flow is app- or receiver-limited when the
+    corresponding lifetime fraction is greater than zero. *)
 
-val analyze_record :
-  ?shift_threshold:float ->
-  ?limited_threshold:float ->
-  ?penalty_scale:float ->
-  Ndt.record ->
-  verdict
-(** [shift_threshold] defaults to 0.2 (a 20% throughput level shift);
-    [penalty_scale] multiplies the change-point detector's default
-    penalty (1.0 = PELT's BIC default; used by the A2 ablation). *)
+val analyze_record : ?penalty_scale:float -> Ndt.record -> verdict
+(** Candidate flows are judged by {!Changepoint.contention} against the
+    record's mean throughput; [penalty_scale] multiplies the change-point
+    detector's default penalty (1.0 = PELT's BIC default; used by the
+    A2 ablation). *)
 
-val analyze :
-  ?shift_threshold:float ->
-  ?limited_threshold:float ->
-  ?penalty_scale:float ->
-  Ndt.record list ->
-  report
+val analyze : ?penalty_scale:float -> Ndt.record list -> report
 
 type accuracy = {
   true_positives : int;

@@ -120,60 +120,21 @@ let flow_id s =
   | None, None, Some sim -> "sim " ^ sim
   | None, None, None -> s.name
 
-(* --- change-point analysis (fig2's detector, offline) ------------------- *)
+(* --- the paper's verdicts, offline ---------------------------------------- *)
 
-type changepoint_row = {
-  cp_series : series;
-  change_points : int list;
-  largest_shift : float;
-  mean : float;
-  contention_consistent : bool;
-}
+type changepoint_row = { cp_series : series; mean : float; verdict : Changepoint.verdict }
 
-(* Mirrors [Mlab_analysis.analyze_record]'s Candidate branch exactly:
-   PELT over the per-interval throughput, contention-consistent when the
-   largest level shift is at least [shift_threshold] of the mean. *)
-let changepoint_of ?(shift_threshold = 0.2) s =
-  let changes = Changepoint.pelt s.values in
-  let shift = Changepoint.largest_shift s.values changes in
+let changepoint_of ?shift_threshold s =
   let mean = if Array.length s.values = 0 then 0.0 else U.Stats.mean s.values in
-  {
-    cp_series = s;
-    change_points = changes;
-    largest_shift = shift;
-    mean;
-    contention_consistent = (match changes with [] -> false | _ :: _ -> true) && shift /. Float.max 1e-9 mean >= shift_threshold;
-  }
+  { cp_series = s; mean; verdict = Changepoint.contention ?shift_threshold ~mean s.values }
 
-(* --- elasticity classification (fig3's rule, offline) ------------------- *)
-
-type elasticity_row = {
-  el_series : series;
-  samples : int;
-  mean_elasticity : float;
-  p90_elasticity : float;
-  classified_elastic : bool;
-}
-
-(* Mirrors fig3: p90 of the steady-state elasticity samples (inclusive
-   [warmup, hi] window, matching [Timeseries.between]) against the
-   elastic threshold. *)
-let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) s =
+let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?threshold s =
   let values =
     Array.to_list (Array.mapi (fun i t -> (t, s.values.(i))) s.times)
     |> List.filter (fun (t, _) -> t >= warmup && t <= hi)
     |> List.map snd |> Array.of_list
   in
-  let samples = Array.length values in
-  let mean_e = if samples = 0 then 0.0 else U.Stats.mean values in
-  let p90 = if samples = 0 then 0.0 else U.Stats.percentile values 90.0 in
-  {
-    el_series = s;
-    samples;
-    mean_elasticity = mean_e;
-    p90_elasticity = p90;
-    classified_elastic = p90 > threshold;
-  }
+  Elasticity.of_samples ?threshold values
 
 (* --- report ------------------------------------------------------------- *)
 
@@ -234,7 +195,7 @@ type group_acc = {
   mutable ga_elasticity : series option;
 }
 
-let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
+let explain ?(warmup = 0.0) ?(hi = infinity) ?threshold t =
   (* Group attribution series per (job, scenario), then per flow label.
      The scenario's Nimbus elasticity verdict describes the cross
      traffic the probe contends with, so it attaches to every flow row
@@ -309,8 +270,8 @@ let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
            match g.ga_elasticity with
            | None -> None
            | Some s ->
-               let r = elasticity_of ~warmup ~hi ~threshold s in
-               Some (if r.classified_elastic then "elastic" else "inelastic")
+               let r = elasticity_of ~warmup ~hi ?threshold s in
+               Some (if r.elastic then "elastic" else "inelastic")
          in
          let flows = List.rev g.ga_flows in
          let busy_total = List.fold_left (fun acc f -> acc +. final_opt f.fa_busy) 0.0 flows in
@@ -435,7 +396,7 @@ let render_explain ?warmup ?hi ?threshold t =
       Buffer.add_string buf (U.Table.render table));
   Buffer.contents buf
 
-let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold t =
+let render ?warmup ?hi ?threshold ?shift_threshold t =
   let buf = Buffer.create 1024 in
   let points = List.fold_left (fun acc s -> acc + Array.length s.times) 0 t in
   Printf.bprintf buf "offline analysis: %d series, %d points\n" (List.length t) points;
@@ -456,14 +417,14 @@ let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold 
       in
       List.iter
         (fun s ->
-          let r = elasticity_of ~warmup ~hi ~threshold s in
+          let r = elasticity_of ?warmup ?hi ?threshold s in
           U.Table.add_row table
             [
               flow_id s;
               string_of_int r.samples;
-              U.Table.cell_f r.mean_elasticity;
-              U.Table.cell_f r.p90_elasticity;
-              (if r.classified_elastic then "elastic" else "inelastic");
+              U.Table.cell_f r.mean;
+              U.Table.cell_f r.p90;
+              (if r.elastic then "elastic" else "inelastic");
             ])
         rows;
       Buffer.add_string buf (U.Table.render table));
@@ -472,7 +433,7 @@ let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold 
   | rows ->
       let verdicts = List.map (changepoint_of ?shift_threshold) rows in
       let consistent =
-        List.length (List.filter (fun v -> v.contention_consistent) verdicts)
+        List.length (List.filter (fun r -> r.verdict.consistent) verdicts)
       in
       Printf.bprintf buf
         "\nchange points (%s series, fig2 rule): %d candidate flows, %d contention-consistent\n"
@@ -489,14 +450,14 @@ let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold 
             ]
       in
       List.iter
-        (fun v ->
+        (fun r ->
           U.Table.add_row table
             [
-              flow_id v.cp_series;
-              string_of_int (Array.length v.cp_series.values);
-              string_of_int (List.length v.change_points);
-              U.Table.cell_f (v.largest_shift /. Float.max 1e-9 v.mean);
-              (if v.contention_consistent then "contention-consistent" else "stable");
+              flow_id r.cp_series;
+              string_of_int (Array.length r.cp_series.values);
+              string_of_int (List.length r.verdict.change_points);
+              U.Table.cell_f (r.verdict.largest_shift /. Float.max 1e-9 r.mean);
+              (if r.verdict.consistent then "contention-consistent" else "stable");
             ])
         verdicts;
       Buffer.add_string buf (U.Table.render table));

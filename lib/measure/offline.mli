@@ -1,12 +1,11 @@
 (** Offline analysis of exported timeline series.
 
     Parses a `--series` NDJSON file back into series and reruns the
-    lib/measure detectors over them: the Fig 2 change-point rule
-    ({!Changepoint.pelt} + largest level shift vs mean) on NDT
-    throughput traces, and the Fig 3 elasticity rule (steady-state p90
-    vs threshold) on Nimbus elasticity series. Timeline floats are
-    exported with round-trip precision, so the offline verdicts match
-    the in-simulation ones exactly. *)
+    paper's two verdicts over them: {!Changepoint.contention} (Fig 2)
+    on NDT throughput traces and {!Elasticity.of_samples} (Fig 3) on
+    Nimbus elasticity series. Timeline floats are exported with
+    round-trip precision, so the offline verdicts match the
+    in-simulation ones exactly. *)
 
 type series = {
   job : string option;
@@ -34,33 +33,15 @@ val ndt_series_name : string
 val elasticity_series_name : string
 (** ["nimbus_elasticity"] — recorded by the Nimbus CCA. *)
 
-type changepoint_row = {
-  cp_series : series;
-  change_points : int list;
-  largest_shift : float;
-  mean : float;
-  contention_consistent : bool;
-}
+type changepoint_row = { cp_series : series; mean : float; verdict : Changepoint.verdict }
 
 val changepoint_of : ?shift_threshold:float -> series -> changepoint_row
-(** The Fig 2 Candidate rule over one series' values:
-    [Changepoint.pelt], largest level shift, and
-    [contention_consistent] when the shift is at least
-    [shift_threshold] (default 0.2) of the mean. *)
+(** {!Changepoint.contention} over one series' values, against their
+    mean. *)
 
-type elasticity_row = {
-  el_series : series;
-  samples : int;
-  mean_elasticity : float;
-  p90_elasticity : float;
-  classified_elastic : bool;
-}
-
-val elasticity_of :
-  ?warmup:float -> ?hi:float -> ?threshold:float -> series -> elasticity_row
-(** The Fig 3 rule over one series: p90 of samples with
-    [warmup <= t <= hi] (inclusive, matching [Timeseries.between]);
-    elastic when p90 exceeds [threshold] (default 0.5). *)
+val elasticity_of : ?warmup:float -> ?hi:float -> ?threshold:float -> series -> Elasticity.t
+(** {!Elasticity.of_samples} over the samples with [warmup <= t <= hi]
+    (inclusive, matching [Timeseries.between]). *)
 
 type explain_row = {
   ex_job : string option;

@@ -23,12 +23,10 @@ type series = {
       (* shared with the owning timeline: (series, last_time, offending_time) *)
 }
 
-type key = { k_name : string; k_labels : labels }
-
 type t = {
   interval : float;
   capacity : int;
-  table : (key, series) Hashtbl.t;
+  table : (string * labels, series) Hashtbl.t;  (* (name, sorted labels) *)
   mutable order : series list;  (* registration order, newest first *)
   mutable sim_ids : int;
   violation : (string * float * float) option ref;
@@ -58,14 +56,14 @@ let next_sim_id t =
 let normalize_labels labels = List.sort (fun ((a : string), _) (b, _) -> String.compare a b) labels
 
 let series t ?(labels = []) name =
-  let key = { k_name = name; k_labels = normalize_labels labels } in
-  match Hashtbl.find_opt t.table key with
+  let labels = normalize_labels labels in
+  match Hashtbl.find_opt t.table (name, labels) with
   | Some s -> s
   | None ->
       let s =
         {
           s_name = name;
-          s_labels = key.k_labels;
+          s_labels = labels;
           capacity = t.capacity;
           times = Array.make 16 0.0;
           values = Array.make 16 0.0;
@@ -76,7 +74,7 @@ let series t ?(labels = []) name =
           violation = t.violation;
         }
       in
-      Hashtbl.add t.table key s;
+      Hashtbl.add t.table (name, labels) s;
       t.order <- s :: t.order;
       s
 

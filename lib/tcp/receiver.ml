@@ -17,7 +17,6 @@ type t = {
   mutable delack_timer : Sim.event_id option;
   mutable pending_echo : float;  (* sent_at of the newest unacked segment *)
   mutable pending_retx : bool;
-  receive_times : Ccsim_util.Timeseries.t;
   m_acks : Ccsim_obs.Metrics.counter option;
 }
 
@@ -40,7 +39,6 @@ let create sim ~flow ~ack_path ?(buffer_bytes = 4 * 1024 * 1024) ?(consume_rate_
     delack_timer = None;
     pending_echo = 0.0;
     pending_retx = false;
-    receive_times = Ccsim_util.Timeseries.create ();
     m_acks =
       Option.map
         (fun m ->
@@ -114,8 +112,6 @@ let handle_data t (pkt : Packet.t) =
   if Packet.is_data pkt then begin
     let before = t.rcv_nxt in
     integrate t ~seq:pkt.seq ~len:pkt.payload_bytes;
-    Ccsim_util.Timeseries.add t.receive_times ~time:(Sim.now t.sim)
-      ~value:(float_of_int t.rcv_nxt);
     let in_order = t.rcv_nxt > before && (match t.ooo with [] -> true | _ :: _ -> false) in
     if (not t.delayed_ack) || (not in_order) || pkt.ecn_ce then
       (* Immediate ack: per-packet mode, out-of-order data (dupack/SACK
@@ -139,4 +135,3 @@ let handle_data t (pkt : Packet.t) =
 
 let bytes_received t = t.rcv_nxt
 let acks_sent t = t.acks_sent
-let receive_times t = t.receive_times

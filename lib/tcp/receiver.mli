@@ -35,7 +35,3 @@ val bytes_received : t -> int
 val acks_sent : t -> int
 val advertised_window : t -> int
 (** Current rwnd in bytes. *)
-
-val receive_times : t -> Ccsim_util.Timeseries.t
-(** (arrival time, cumulative contiguous bytes) — one point per data
-    packet, used for goodput and jitter analysis. *)

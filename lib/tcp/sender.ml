@@ -11,8 +11,6 @@ type segment = {
   mutable sacked : bool;
   mutable lost : bool;  (* marked for retransmission *)
   mutable in_pipe : bool;  (* counted in the outstanding estimate *)
-  mutable delivered_at_send : int;
-  mutable app_limited_at_send : bool;
 }
 
 type limited = Not_started | App | Rwnd | Cwnd | Pacing | Busy
@@ -216,8 +214,6 @@ let[@ccsim.hot] transmit t (seg : segment) ~is_retx =
   seg.sent_at <- now;
   seg.in_pipe <- true;
   t.pipe_bytes <- t.pipe_bytes + seg.len;
-  seg.delivered_at_send <- t.snd_una;
-  seg.app_limited_at_send <- app_limited_now t;
   t.bytes_sent <- t.bytes_sent + seg.len;
   if is_retx then begin
     seg.retx_count <- seg.retx_count + 1;
@@ -350,8 +346,6 @@ and[@ccsim.hot] try_send t =
                sacked = false;
                lost = false;
                in_pipe = false;
-               delivered_at_send = t.snd_una;
-               app_limited_at_send = false;
              }
             [@ccsim.alloc_ok
               "per-segment bookkeeping record; it lives on the scoreboard until acked"])

@@ -1,4 +1,4 @@
-(* The one blessed site of float equality in the tree. ccsim-lint's R3
+(* The one blessed site of float equality in the tree. ccsim-lint's R6
    forbids bare structural = / <> at float type everywhere else: the
    comparison compiles, but silently turns into a representation test
    that breaks change-point and elasticity verdicts the moment a
@@ -10,7 +10,6 @@
    `a = b` with `feq ~eps:0. a b` is verdict-preserving bit for bit
    (see test/test_util.ml's qcheck equivalence property). *)
 
-(* lint: allow R3 -- this module implements the sanctioned comparison *)
 let feq ~eps a b =
   if not (eps >= 0.0) then invalid_arg "Feq.feq: eps must be non-negative";
   (* The exact-equality fast path stays polymorphic [=] on purpose:

@@ -1,8 +1,5 @@
-(** Descriptive statistics over float samples.
-
-    Two flavours: batch functions over arrays, and an online accumulator
-    (Welford's algorithm) for streaming telemetry where storing every
-    sample would be wasteful. *)
+(** Descriptive statistics over float samples (batch functions over
+    arrays). *)
 
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
@@ -44,27 +41,3 @@ val summarize : float array -> summary
 (** Full summary in one pass over a sorted copy. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** Online mean/variance accumulator (Welford). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val variance : t -> float
-  (** Unbiased; 0 with fewer than two samples. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  (** Raises [Invalid_argument] when empty. *)
-
-  val max : t -> float
-  (** Raises [Invalid_argument] when empty. *)
-
-  val merge : t -> t -> t
-  (** Combine two accumulators (parallel Welford merge). *)
-end

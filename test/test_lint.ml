@@ -43,9 +43,6 @@ let test_r2 =
   check_fixture ~name:"bad_r2_nondeterminism.ml"
     ~expected:[ ("R2", 4, 16); ("R2", 6, 15); ("R2", 8, 17); ("R2", 10, 20) ]
 
-let test_r3 =
-  check_fixture ~name:"bad_r3_float_eq.ml" ~expected:[ ("R3", 4, 32); ("R3", 6, 37) ]
-
 let test_r4 =
   check_fixture ~name:"bad_r4_unit_mixing.ml" ~expected:[ ("R4", 5, 38); ("R4", 7, 49) ]
 
@@ -72,7 +69,7 @@ let test_messages_name_the_problem () =
   | [] -> Alcotest.fail "no R4 findings"
 
 let test_json_shape () =
-  let findings = L.scan_file (fixture "bad_r3_float_eq.ml") in
+  let findings = L.scan_file (fixture "bad_r4_unit_mixing.ml") in
   let json = L.render_json findings in
   let has affix = contains ~affix json in
   Alcotest.(check bool) "is an array" true
@@ -81,8 +78,8 @@ let test_json_shape () =
     (fun field -> Alcotest.(check bool) ("has " ^ field) true (has ("\"" ^ field ^ "\": ")))
     [ "file"; "line"; "col"; "rule"; "stage"; "message" ];
   Alcotest.(check bool) "parse findings say so" true (has "\"stage\": \"parse\"");
-  Alcotest.(check bool) "carries the path" true (has (fixture "bad_r3_float_eq.ml"));
-  Alcotest.(check bool) "carries the rule" true (has "\"rule\": \"R3\"")
+  Alcotest.(check bool) "carries the path" true (has (fixture "bad_r4_unit_mixing.ml"));
+  Alcotest.(check bool) "carries the rule" true (has "\"rule\": \"R4\"")
 
 let test_json_empty () = Alcotest.(check string) "empty array" "[]\n" (L.render_json [])
 
@@ -100,9 +97,9 @@ let test_allowlist_suppresses () =
   Alcotest.(check int) "all R1 findings suppressed" 0 (List.length kept);
   Alcotest.(check int) "entry is live" 0 (List.length stale);
   (* The same entry against another rule's findings is stale. *)
-  let other = L.scan_file (fixture "bad_r3_float_eq.ml") in
+  let other = L.scan_file (fixture "bad_r4_unit_mixing.ml") in
   let kept, stale = L.apply_allowlist [ entry ] other in
-  Alcotest.(check int) "R3 findings survive" 2 (List.length kept);
+  Alcotest.(check int) "R4 findings survive" 2 (List.length kept);
   Alcotest.(check int) "entry reported stale" 1 (List.length stale)
 
 let with_temp_allow contents f =
@@ -191,6 +188,11 @@ let test_r6_typed =
   check_typed ~name:"bad_r6.ml"
     ~expected:[ ("R6", 6, 43); ("R6", 8, 41); ("R6", 10, 40) ]
 
+(* The parse-stage float-equality heuristic (R3) was retired in favour
+   of R6; its fixture's two findings carried over, line for line. *)
+let test_r6_covers_r3 =
+  check_typed ~name:"bad_r6_from_r3.ml" ~expected:[ ("R6", 4, 32); ("R6", 6, 37) ]
+
 let test_r7_typed =
   check_typed ~name:"bad_r7.ml"
     ~expected:[ ("R7", 5, 55); ("R7", 7, 66); ("R7", 10, 6) ]
@@ -229,19 +231,20 @@ let test_r7_and_r4_overlap () =
     "parse stage sees the suffix mixes" [ ("R4", 5, 55); ("R4", 7, 66) ] parse
 
 let test_sarif_shape () =
-  let findings = L.scan_file (fixture "bad_r3_float_eq.ml") @ typed_for "bad_r5.ml" in
+  let findings = L.scan_file (fixture "bad_r4_unit_mixing.ml") @ typed_for "bad_r5.ml" in
   let sarif = L.render_sarif findings in
   let has affix = contains ~affix sarif in
   Alcotest.(check bool) "declares 2.1.0" true (has "\"version\": \"2.1.0\"");
   Alcotest.(check bool) "points at the 2.1.0 schema" true (has "sarif-schema-2.1.0.json");
   Alcotest.(check bool) "driver is ccsim-lint" true (has "\"name\": \"ccsim-lint\"");
-  (* All seven rules are described, findings or not... *)
+  (* All six rules are described, findings or not... *)
   List.iter
     (fun r ->
       Alcotest.(check bool) ("descriptor for " ^ r) true (has ("{\"id\": \"" ^ r ^ "\"")))
-    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7" ];
+    [ "R1"; "R2"; "R4"; "R5"; "R6"; "R7" ];
+  Alcotest.(check bool) "no descriptor for the retired R3" false (has "{\"id\": \"R3\"");
   (* ...and each finding becomes a result with a physical location. *)
-  Alcotest.(check bool) "R3 result" true (has "\"ruleId\": \"R3\"");
+  Alcotest.(check bool) "R4 result" true (has "\"ruleId\": \"R4\"");
   Alcotest.(check bool) "R5 result" true (has "\"ruleId\": \"R5\"");
   Alcotest.(check bool) "carries the fixture uri" true
     (has "lint_fixtures_typed/bad_r5.ml");
@@ -275,7 +278,6 @@ let suite =
   [
     Alcotest.test_case "R1 fixture: exact findings" `Quick test_r1;
     Alcotest.test_case "R2 fixture: exact findings" `Quick test_r2;
-    Alcotest.test_case "R3 fixture: exact findings" `Quick test_r3;
     Alcotest.test_case "R4 fixture: exact findings" `Quick test_r4;
     Alcotest.test_case "annotated fixture: silent" `Quick test_annotations_silence;
     Alcotest.test_case "R2: lib/runner is wall-clock exempt" `Quick test_r2_exemption;
@@ -289,6 +291,7 @@ let suite =
     Alcotest.test_case "repo tree: lint-clean under lint.allow" `Quick test_repo_tree_is_clean;
     Alcotest.test_case "R5 fixture: exact findings" `Quick test_r5_typed;
     Alcotest.test_case "R6 fixture: exact findings" `Quick test_r6_typed;
+    Alcotest.test_case "R6 reports the retired R3 fixture" `Quick test_r6_covers_r3;
     Alcotest.test_case "R7 fixture: exact findings" `Quick test_r7_typed;
     Alcotest.test_case "typed twins: silent under escape hatches" `Quick
       test_typed_twins_silent;

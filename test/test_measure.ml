@@ -1,5 +1,5 @@
-(* Tests for the measurement layer: change-point detection, elasticity
-   scoring, telemetry, the NDT model, and the M-Lab pipeline. *)
+(* Tests for the measurement layer: change-point detection, the paper's
+   two verdicts, monitors, the NDT model, and the M-Lab pipeline. *)
 
 module M = Ccsim_measure
 module U = Ccsim_util
@@ -73,72 +73,53 @@ let test_cost_function () =
   Alcotest.(check (float 1e-9)) "singleton cost 0" 0.0
     (M.Changepoint.segment_cost ~prefix ~prefix_sq 1 2)
 
-(* --- Elasticity ---------------------------------------------------------------------- *)
+(* --- The paper's verdicts --------------------------------------------------------- *)
 
-let tone ~n ~sample_rate ~freq ~amp ~phase =
-  Array.init n (fun i ->
-      amp *. sin ((2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate) +. phase))
+let test_changepoint_verdict_boundary () =
+  (* A clean 10 -> 12 step: PELT finds it and the shift is exactly 2. *)
+  let signal = step_signal [ (10.0, 50); (12.0, 50) ] in
+  let at_threshold = M.Changepoint.contention ~mean:10.0 signal in
+  Alcotest.(check (list int)) "the step is found" [ 50 ] at_threshold.change_points;
+  Alcotest.(check (float 0.0)) "shift" 2.0 at_threshold.largest_shift;
+  Alcotest.(check (float 0.0)) "threshold" 0.2 M.Changepoint.shift_threshold;
+  Alcotest.(check bool) "shift/mean = 0.2 is consistent" true at_threshold.consistent;
+  let below = M.Changepoint.contention ~mean:(Float.succ 10.0) signal in
+  Alcotest.(check bool) "just below 0.2 is not" false below.consistent;
+  (* A huge step that the penalty hides: no change points, never consistent,
+     even at a zero threshold against a near-zero mean. *)
+  let big = step_signal [ (1.0, 50); (100.0, 50) ] in
+  let hidden = M.Changepoint.contention ~penalty:1e12 ~shift_threshold:0.0 ~mean:1e-12 big in
+  Alcotest.(check (list int)) "no change points" [] hidden.change_points;
+  Alcotest.(check bool) "no change points is not consistent" false hidden.consistent
 
-let test_elasticity_responsive_cross_traffic () =
-  let n = 512 and sample_rate = 100.0 and freq = 5.0 in
-  let own = tone ~n ~sample_rate ~freq ~amp:5e6 ~phase:0.0 in
-  (* Cross traffic mirrors the pulse (opposite phase): elastic. *)
-  let cross =
-    Array.map (fun x -> 20e6 -. x) (tone ~n ~sample_rate ~freq ~amp:4e6 ~phase:0.3)
-  in
-  let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
-  Alcotest.(check bool) "elastic cross scores high" true (e > 0.5);
-  Alcotest.(check bool) "classified elastic" true (M.Elasticity.classify e = `Elastic)
+let test_elasticity_verdict_boundary () =
+  Alcotest.(check (float 0.0)) "threshold" 0.5 M.Elasticity.threshold;
+  (* Eleven samples: p90 is exactly the tenth-smallest. *)
+  let samples tenth = Array.init 11 (fun i -> if i = 9 then tenth else if i = 10 then 1.0 else 0.1) in
+  let at = M.Elasticity.of_samples (samples 0.5) in
+  Alcotest.(check (float 0.0)) "p90" 0.5 at.p90;
+  Alcotest.(check int) "samples" 11 at.samples;
+  Alcotest.(check bool) "p90 = 0.5 is not elastic" false at.elastic;
+  let above = M.Elasticity.of_samples (samples (Float.succ 0.5)) in
+  Alcotest.(check bool) "just above 0.5 is elastic" true above.elastic;
+  Alcotest.(check bool) "threshold override" true
+    (M.Elasticity.of_samples ~threshold:0.4 (samples 0.5)).elastic;
+  let empty = M.Elasticity.of_samples [||] in
+  Alcotest.(check int) "empty: no samples" 0 empty.samples;
+  Alcotest.(check (float 0.0)) "empty: mean 0" 0.0 empty.mean;
+  Alcotest.(check (float 0.0)) "empty: p90 0" 0.0 empty.p90;
+  Alcotest.(check bool) "empty: not elastic" false empty.elastic
 
-let test_elasticity_flat_cross_traffic () =
-  let n = 512 and sample_rate = 100.0 and freq = 5.0 in
-  let rng = U.Rng.create 6 in
-  let own = tone ~n ~sample_rate ~freq ~amp:5e6 ~phase:0.0 in
-  let cross = Array.init n (fun _ -> 12e6 +. U.Rng.normal rng ~mean:0.0 ~stddev:1e5) in
-  let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
-  Alcotest.(check bool) "inelastic cross scores low" true (e < 0.2);
-  Alcotest.(check bool) "classified inelastic" true (M.Elasticity.classify e = `Inelastic)
-
-let test_elasticity_length_checks () =
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Elasticity.score: signal length mismatch") (fun () ->
-      ignore
-        (M.Elasticity.score ~sample_rate:100.0 ~pulse_freq:5.0 ~cross:(Array.make 512 0.0)
-           ~own:(Array.make 256 0.0)))
-
-let test_elasticity_windowed () =
-  let sample_rate = 100.0 and freq = 5.0 in
-  let mk n f =
-    let ts = U.Timeseries.create () in
-    for i = 0 to n - 1 do
-      U.Timeseries.add ts ~time:(float_of_int i /. sample_rate) ~value:(f i)
-    done;
-    ts
-  in
-  let n = 2048 in
-  let own = mk n (fun i -> 5e6 *. sin (2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate)) in
-  (* First half: flat cross; second half: mirroring cross. *)
-  let cross =
-    mk n (fun i ->
-        if i < n / 2 then 10e6
-        else 10e6 +. (4e6 *. sin (2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate)))
-  in
-  let series = M.Elasticity.windowed ~sample_rate ~pulse_freq:freq ~window:512 ~cross ~own in
-  Alcotest.(check bool) "several windows" true (U.Timeseries.length series >= 4);
-  let values = U.Timeseries.values series in
-  Alcotest.(check bool) "elasticity rises in the second half" true
-    (values.(Array.length values - 1) > values.(0) +. 0.3)
-
-(* --- Telemetry ------------------------------------------------------------------------ *)
+(* --- Monitors -------------------------------------------------------------------------- *)
 
 let test_flow_monitor_throughput () =
   let sim = Sim.create () in
   let topo = Ccsim_net.Topology.dumbbell sim ~rate_bps:10e6 ~delay_s:0.01 () in
   let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Cubic.create ()) () in
-  let monitor = M.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~interval:0.1 () in
+  let monitor = M.Monitor.Flow_monitor.create sim ~sender:conn.sender ~interval:0.1 () in
   Ccsim_tcp.Sender.set_unlimited conn.sender;
   Sim.run ~until:10.0 sim;
-  let tput = M.Telemetry.Flow_monitor.throughput monitor in
+  let tput = M.Monitor.Flow_monitor.throughput monitor in
   Alcotest.(check bool) "samples collected" true (U.Timeseries.length tput > 80);
   (* Steady-state samples near link rate. *)
   let steady = U.Timeseries.between tput ~lo:5.0 ~hi:10.0 in
@@ -149,36 +130,32 @@ let test_queue_monitor () =
   let sim = Sim.create () in
   let qdisc = Ccsim_net.Fifo.create () in
   let topo = Ccsim_net.Topology.dumbbell sim ~rate_bps:5e6 ~delay_s:0.02 ~qdisc () in
-  let monitor = M.Telemetry.Queue_monitor.create sim ~qdisc () in
+  let monitor = M.Monitor.Queue_monitor.create sim ~qdisc () in
   let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Cubic.create ()) () in
   Ccsim_tcp.Sender.set_unlimited conn.sender;
   Sim.run ~until:10.0 sim;
   Alcotest.(check bool) "bulk flow builds queue" true
-    (M.Telemetry.Queue_monitor.max_backlog_bytes monitor > 10_000.0);
+    (M.Monitor.Queue_monitor.max_backlog_bytes monitor > 10_000.0);
   Alcotest.(check bool) "mean <= max" true
-    (M.Telemetry.Queue_monitor.mean_backlog_bytes monitor
-    <= M.Telemetry.Queue_monitor.max_backlog_bytes monitor)
+    (M.Monitor.Queue_monitor.mean_backlog_bytes monitor
+    <= M.Monitor.Queue_monitor.max_backlog_bytes monitor)
 
 (* Non-positive sampling intervals would silently hang Sim.every or
-   divide by zero; all three monitors must reject them up front. *)
+   divide by zero; both monitors must reject them up front. *)
 let test_monitor_interval_validation () =
   let sim = Sim.create () in
   let topo = Ccsim_net.Topology.dumbbell sim ~rate_bps:10e6 ~delay_s:0.01 () in
   let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Cubic.create ()) () in
   let qdisc = Ccsim_net.Fifo.create () in
-  let link = Ccsim_net.Link.create sim ~rate_bps:1e6 ~delay_s:0.0 ~sink:(fun _ -> ()) () in
   Alcotest.check_raises "flow monitor, zero"
-    (Invalid_argument "Telemetry.Flow_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~interval:0.0 ()));
+    (Invalid_argument "Monitor.Flow_monitor.create: interval must be positive") (fun () ->
+      ignore (M.Monitor.Flow_monitor.create sim ~sender:conn.sender ~interval:0.0 ()));
   Alcotest.check_raises "flow monitor, negative"
-    (Invalid_argument "Telemetry.Flow_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~interval:(-0.1) ()));
+    (Invalid_argument "Monitor.Flow_monitor.create: interval must be positive") (fun () ->
+      ignore (M.Monitor.Flow_monitor.create sim ~sender:conn.sender ~interval:(-0.1) ()));
   Alcotest.check_raises "queue monitor, zero"
-    (Invalid_argument "Telemetry.Queue_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Queue_monitor.create sim ~qdisc ~interval:0.0 ()));
-  Alcotest.check_raises "link monitor, negative"
-    (Invalid_argument "Telemetry.Link_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Link_monitor.create sim ~link ~interval:(-1.0) ()))
+    (Invalid_argument "Monitor.Queue_monitor.create: interval must be positive") (fun () ->
+      ignore (M.Monitor.Queue_monitor.create sim ~qdisc ~interval:0.0 ()))
 
 (* --- Ndt ------------------------------------------------------------------------------- *)
 
@@ -330,10 +307,8 @@ let suite =
     ("changepoint: segment means", `Quick, test_segment_means);
     ("changepoint: largest shift", `Quick, test_largest_shift);
     ("changepoint: L2 cost", `Quick, test_cost_function);
-    ("elasticity: responsive cross traffic", `Quick, test_elasticity_responsive_cross_traffic);
-    ("elasticity: flat cross traffic", `Quick, test_elasticity_flat_cross_traffic);
-    ("elasticity: validation", `Quick, test_elasticity_length_checks);
-    ("elasticity: windowed series", `Quick, test_elasticity_windowed);
+    ("changepoint: verdict boundary", `Quick, test_changepoint_verdict_boundary);
+    ("elasticity: verdict boundary", `Quick, test_elasticity_verdict_boundary);
     ("telemetry: flow monitor", `Quick, test_flow_monitor_throughput);
     ("telemetry: queue monitor", `Quick, test_queue_monitor);
     ("telemetry: monitors reject non-positive intervals", `Quick,

@@ -566,10 +566,10 @@ let test_offline_reproduces_fig3 () =
       Alcotest.(check bool)
         ("p90 exact: " ^ row.traffic)
         true
-        (Float.equal off.Offline.p90_elasticity row.p90_elasticity);
+        (Float.equal off.M.Elasticity.p90 row.p90_elasticity);
       Alcotest.(check bool)
         ("verdict: " ^ row.traffic)
-        row.classified_elastic off.Offline.classified_elastic)
+        row.classified_elastic off.M.Elasticity.elastic)
     rows
 
 let test_explain_agrees_with_fig3 () =
@@ -637,7 +637,7 @@ let test_offline_reproduces_fig2 () =
   let consistent =
     List.length
       (List.filter
-         (fun s -> (Offline.changepoint_of s).Offline.contention_consistent)
+         (fun s -> (Offline.changepoint_of s).Offline.verdict.consistent)
          series)
   in
   Alcotest.(check int) "contention-consistent verdicts match"

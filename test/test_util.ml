@@ -137,29 +137,6 @@ let test_stats_empty_rejected () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty array") (fun () ->
       ignore (U.Stats.mean [||]))
 
-let test_stats_online_matches_batch () =
-  let rng = U.Rng.create 20 in
-  let xs = Array.init 1000 (fun _ -> U.Rng.normal rng ~mean:5.0 ~stddev:2.0) in
-  let online = U.Stats.Online.create () in
-  Array.iter (U.Stats.Online.add online) xs;
-  check_close "online mean" 1e-9 (U.Stats.mean xs) (U.Stats.Online.mean online);
-  check_close "online variance" 1e-6 (U.Stats.variance xs) (U.Stats.Online.variance online);
-  check_float "online min" (U.Stats.minimum xs) (U.Stats.Online.min online);
-  check_float "online max" (U.Stats.maximum xs) (U.Stats.Online.max online)
-
-let test_stats_online_merge () =
-  let a = U.Stats.Online.create () and b = U.Stats.Online.create () in
-  let all = U.Stats.Online.create () in
-  let rng = U.Rng.create 21 in
-  for i = 1 to 500 do
-    let x = U.Rng.float rng 10.0 in
-    U.Stats.Online.add (if i mod 2 = 0 then a else b) x;
-    U.Stats.Online.add all x
-  done;
-  let merged = U.Stats.Online.merge a b in
-  check_close "merged mean" 1e-9 (U.Stats.Online.mean all) (U.Stats.Online.mean merged);
-  check_close "merged var" 1e-6 (U.Stats.Online.variance all) (U.Stats.Online.variance merged)
-
 (* --- Cdf -------------------------------------------------------------------- *)
 
 let test_cdf_eval () =
@@ -320,25 +297,6 @@ let test_starvation_count () =
     (U.Fairness.starvation_episodes
        ~throughput:[| 0.0; 5.0; 0.4; 5.0 |]
        ~fair_share:5.0 ~threshold:0.1)
-
-(* --- Histogram --------------------------------------------------------------- *)
-
-let test_histogram_binning () =
-  let h = U.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  U.Histogram.add_all h [| 0.5; 1.5; 1.6; 9.9; -1.0; 10.0 |];
-  Alcotest.(check int) "bin 0" 1 (U.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (U.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (U.Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (U.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (U.Histogram.overflow h);
-  Alcotest.(check int) "total" 6 (U.Histogram.count h);
-  Alcotest.(check int) "mode" 1 (U.Histogram.mode_bin h)
-
-let test_histogram_edges () =
-  let h = U.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  let lo, hi = U.Histogram.bin_edges h 2 in
-  check_float "edge lo" 4.0 lo;
-  check_float "edge hi" 6.0 hi
 
 (* --- Ring buffer --------------------------------------------------------------- *)
 
@@ -538,8 +496,6 @@ let suite =
     ("stats: basics", `Quick, test_stats_basics);
     ("stats: percentile interpolation", `Quick, test_stats_percentile_interpolation);
     ("stats: empty rejected", `Quick, test_stats_empty_rejected);
-    ("stats: online matches batch", `Quick, test_stats_online_matches_batch);
-    ("stats: online merge", `Quick, test_stats_online_merge);
     ("cdf: eval", `Quick, test_cdf_eval);
     ("cdf: quantile", `Quick, test_cdf_quantile);
     ("cdf: points monotone", `Quick, test_cdf_points_monotone);
@@ -561,8 +517,6 @@ let suite =
     ("fairness: weighted max-min", `Quick, test_max_min_weighted);
     ("fairness: harm", `Quick, test_harm);
     ("fairness: starvation episodes", `Quick, test_starvation_count);
-    ("histogram: binning", `Quick, test_histogram_binning);
-    ("histogram: edges", `Quick, test_histogram_edges);
     ("ring buffer: wraparound", `Quick, test_ring_buffer_wraparound);
     ("ring buffer: stats and clear", `Quick, test_ring_buffer_stats);
     ("table: renders", `Quick, test_table_renders);

@@ -15,9 +15,6 @@
        (Unix.gettimeofday / Unix.time / Sys.time / ...) and host-GC
        reads (Gc.stat / quick_stat / counters / ...) outside
        lib/runner and lib/obs, and order-dependent Hashtbl.iter/fold.
-   R3  structural float equality (= / <> applied to float-looking
-       operands), which silently breaks change-point and elasticity
-       thresholds; use Ccsim_util.Feq.feq ~eps instead.
    R4  unit-suffix mixing: additive or comparison operators whose two
        operands carry different unit suffixes (_s vs _bps vs _bytes ...).
 
@@ -103,7 +100,7 @@ let load_allowlist path =
    styles both work).
 
      (* lint: domain-local *)      suppresses R1
-     (* lint: allow R2 R3 *)       suppresses the listed rules *)
+     (* lint: allow R2 R4 *)       suppresses the listed rules *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -292,9 +289,6 @@ let gc_read_ident lid =
       Some ("Gc." ^ fn)
   | _ -> None
 
-let float_suffixes =
-  [ "_s"; "_ms"; "_us"; "_bps"; "_kbps"; "_mbps"; "_gbps"; "_hz"; "_frac"; "_pct"; "_ratio"; "_eps" ]
-
 let unit_suffixes =
   [ "_s"; "_ms"; "_us"; "_bps"; "_kbps"; "_mbps"; "_gbps"; "_bytes"; "_pkts"; "_hz" ]
 
@@ -304,34 +298,6 @@ let suffix_of suffixes name =
       let nl = String.length name and sl = String.length suf in
       nl > sl && String.equal (String.sub name (nl - sl) sl) suf)
     suffixes
-
-let float_operators = [ "+."; "-."; "*."; "/."; "**" ]
-
-(* Heuristic: does this expression look float-typed? Used by R3 on the
-   operands of = / <>. No typedtree, so only obviously-float shapes
-   count: float literals, float arithmetic, Float.* accessors, deref of
-   and fields/idents with a float-ish unit suffix. *)
-let rec floatish e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | Pexp_ident { txt = Longident.Lident ("infinity" | "neg_infinity" | "nan" | "epsilon_float" | "max_float" | "min_float"); _ } ->
-      true
-  | Pexp_ident { txt = Longident.Ldot (Longident.Lident "Float", _); _ } -> true
-  | Pexp_ident { txt; _ } -> Option.is_some (suffix_of float_suffixes (last_component txt))
-  | Pexp_field (_, { txt; _ }) -> Option.is_some (suffix_of float_suffixes (last_component txt))
-  | Pexp_constraint (inner, { ptyp_desc = Ptyp_constr ({ txt = Longident.Lident "float"; _ }, []); _ }) ->
-      ignore inner;
-      true
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, [ (_, inner) ]) ->
-      floatish inner
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident op; _ }; _ }, _)
-    when List.mem op float_operators ->
-      true
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Ldot (Longident.Lident "Float", fn); _ }; _ }, _)
-    when not (List.mem fn [ "to_int"; "compare"; "equal"; "is_integer"; "is_finite"; "is_nan"; "sign_bit" ]) ->
-      true
-  | _ -> false
 
 let unit_suffix_of_operand e =
   match e.pexp_desc with
@@ -392,21 +358,6 @@ let check_expr ctx e =
       | _ -> ())
   | _ -> ());
   match e.pexp_desc with
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); loc; _ }; _ },
-       [ (_, a); (_, b) ]) ->
-      (if floatish a || floatish b then
-         emit ctx loc "R3"
-           (Printf.sprintf
-              "structural float %s: silently breaks detector thresholds on representation \
-               changes; use Ccsim_util.Feq.feq ~eps (eps = 0. preserves exact semantics)"
-              op));
-      (match (unit_suffix_of_operand a, unit_suffix_of_operand b) with
-      | Some sa, Some sb when not (String.equal sa sb) ->
-          emit ctx loc "R4"
-            (Printf.sprintf "unit mismatch: operands of %s carry different unit suffixes (%s vs %s)"
-               op sa sb)
-      | _ -> ())
   | Pexp_apply
       ({ pexp_desc = Pexp_ident { txt = Longident.Lident op; loc; _ }; _ }, [ (_, a); (_, b) ])
     when List.mem op additive_or_comparison -> (
@@ -594,9 +545,6 @@ let rule_catalogue =
     ("R2", "parse", "nondeterminism sources",
      "Global Random, wall-clock or host-GC reads outside lib/runner and lib/obs, and \
       hash-order Hashtbl.iter/fold break bit-determinism.");
-    ("R3", "parse", "structural float equality",
-     "= / <> on float-looking operands silently breaks detector thresholds; use \
-      Ccsim_util.Feq.feq ~eps.");
     ("R4", "parse", "unit-suffix mixing",
      "Additive or comparison operators whose operands carry different unit suffixes \
       (_s vs _bps ...).");

@@ -17,8 +17,7 @@
        compare / min / max / Hashtbl.hash at a type that is not a known
        immediate (int/bool/char/unit) walks memory generically -- slow
        in the DES inner loop, wrong on nan, and allocation-prone via
-       closure-passing. Supersedes the R3 float heuristic with real
-       types.
+       closure-passing.
    R7  unit inference: scale-free dimensional analysis over {time,
        data, packets}. Dimensions seed from name suffixes (_s/_ms/_us
        -> T, _hz -> 1/T, _bps/_kbps/_mbps/_gbps -> D/T, _bytes -> D,
